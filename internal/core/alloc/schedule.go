@@ -1,5 +1,5 @@
 // This file holds the resumable allocation state machine behind the
-// anytime campaign pipeline: Schedule (3PA) and RandomSchedule (§8.2
+// campaign round loop: Schedule (3PA) and RandomSchedule (§8.2
 // baseline) plan waves of (fault, test) runs without executing anything;
 // the caller executes each wave and folds the results back in. Planning
 // within a phase depends only on the RNG and the used-pair bookkeeping --
@@ -32,8 +32,8 @@ type Planner interface {
 	TestsFor(f faults.ID) []TestInfo
 }
 
-// Scheduler is the wave-emitting allocation abstraction the anytime
-// campaign drives. The contract is strictly alternating: every wave
+// Scheduler is the wave-emitting allocation abstraction the campaign
+// round loop drives. The contract is strictly alternating: every wave
 // returned by Next must be executed and folded back via Fold before the
 // next call to Next.
 type Scheduler interface {

@@ -126,9 +126,9 @@ func TestRandomProtocolDeterministicForFixedSeed(t *testing.T) {
 		})
 	}
 	space, ex := mk()
-	a := Random(space, 2, rand.New(rand.NewSource(17)), ex)
+	a := driveWaves(t, NewRandomSchedule(space, 2, rand.New(rand.NewSource(17)), ex), ex, 0).Runs
 	space, ex = mk()
-	b := Random(space, 2, rand.New(rand.NewSource(17)), ex)
+	b := driveWaves(t, NewRandomSchedule(space, 2, rand.New(rand.NewSource(17)), ex), ex, 0).Runs
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("random schedules diverge for the same seed:\n%v\n%v", a, b)
 	}

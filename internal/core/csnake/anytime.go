@@ -1,13 +1,13 @@
-// This file holds the round-based streaming pipeline behind WithAnytime,
-// WithEarlyStop, and ProtocolAdaptive: the allocation schedule emits
-// waves of (fault, test) runs, the harness driver executes each wave and
-// publishes the causal-graph delta it contributed, and an incremental
-// beam search folds every delta into the cycle set -- so the campaign
-// has a complete (and converging) answer after every round instead of
-// only at the end. A full anytime run executes exactly the experiments
-// the batch pipeline executes, accumulates exactly the same graph, and
-// finishes with an identical report; early stopping trades the unspent
-// budget for the answer already in hand.
+// This file holds the campaign's round loop: the allocation schedule
+// emits waves of (fault, test) runs and the harness driver executes each
+// wave and publishes the causal-graph delta it contributed. Under
+// WithAnytime, WithEarlyStop, and ProtocolAdaptive an incremental beam
+// search folds every delta into the cycle set -- so the campaign has a
+// complete (and converging) answer after every round instead of only at
+// the end. A full anytime run executes exactly the experiments a batch
+// campaign executes, accumulates exactly the same graph, and finishes
+// with an identical report; early stopping trades the unspent budget for
+// the answer already in hand.
 
 package csnake
 
@@ -22,13 +22,27 @@ import (
 	"repro/internal/harness"
 )
 
-// runAnytime drives the round loop. capture seals the driver's graph
-// into the report with its annotations; it is shared with the batch path
-// so both finish identically. The campaign RNG rides a CountedSource so
-// a checkpoint can record the draw position and a resumed campaign can
-// fast-forward to it.
-func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.Driver,
+// runRounds drives the round loop every campaign runs: build the
+// schedule, alternate Next / ExecuteWave / Fold until the budget is spent
+// (or the campaign stops early or is cancelled), then capture, search,
+// cluster, and fire CycleFound/CampaignFinished. capture seals the
+// driver's graph into the report with its annotations. The campaign RNG
+// rides a CountedSource so a checkpoint can record the draw position and
+// a resumed campaign can fast-forward to it.
+//
+// A batch campaign (no WithAnytime/WithEarlyStop/ProtocolAdaptive) is the
+// degenerate case: whole-phase waves (Next(0) plans to the next decision
+// barrier), no per-round analysis -- hence no Report.Rounds and no
+// RoundCompleted -- and one one-shot search at the end.
+func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Driver,
 	rep *Report, capture func()) (*Report, *harness.Driver, error) {
+
+	perRound := cfg.Anytime || cfg.EarlyStopRounds > 0 || cfg.Protocol == ProtocolAdaptive
+	if !perRound && c.resume != nil {
+		// Batch campaigns re-run from scratch deterministically; a stale
+		// checkpoint on one is a caller bug, not something to ignore.
+		return rep, driver, resumeErr("batch campaigns do not resume")
+	}
 
 	src := alloc.NewCountedSource(cfg.Seed)
 	rng := rand.New(src)
@@ -44,16 +58,17 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 	}
 
 	sched := c.newScheduler(cfg, space, driver, rng)
-	isRandom := cfg.Protocol == ProtocolRandom
 
-	var roundBase, stable int
+	var roundNum, stable int
 	var lastFP string
+	// Both schedules implement alloc.Resumable; one that did not could
+	// neither restore from a checkpoint nor emit one.
+	resumable, _ := sched.(alloc.Resumable)
 	if cp := c.resume; cp != nil {
-		res, ok := sched.(alloc.Resumable)
-		if !ok {
+		if resumable == nil {
 			return rep, driver, resumeErr("scheduler %T is not resumable", sched)
 		}
-		if err := res.RestoreState(cp.Schedule); err != nil {
+		if err := resumable.RestoreState(cp.Schedule); err != nil {
 			return rep, driver, resumeErr("%v", err)
 		}
 		if err := src.FastForwardTo(cp.RNGDraws); err != nil {
@@ -62,7 +77,7 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 		if err := driver.OffsetSims(cp.Sims - driver.SimCount()); err != nil {
 			return rep, driver, resumeErr("checkpoint sims %d below the campaign's own %d", cp.Sims, driver.SimCount())
 		}
-		roundBase, stable, lastFP = cp.Rounds, cp.Stable, cp.LastFingerprint
+		roundNum, stable, lastFP = cp.Rounds, cp.Stable, cp.LastFingerprint
 		// The checkpoint may already satisfy the early-stop criterion (the
 		// original crashed between sealing its last round and finishing):
 		// the resumed campaign must not run extra rounds past it.
@@ -71,49 +86,35 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 		}
 	}
 
-	// scoreOf and clusterOf mirror the batch path: constant 1 / unknown
-	// until the 3PA schedule has clustered and scored.
+	// The random baseline never clusters or scores, so its result answers
+	// constant 1 / unknown -- as the 3PA result does until the schedule has
+	// clustered and scored.
 	res := sched.Result()
-	scoreOf := func(f faults.ID) float64 {
-		if isRandom {
-			return 1
-		}
-		return res.SimScoreOf(f)
-	}
-	clusterOf := func(f faults.ID) (int, bool) {
-		if isRandom {
-			return 0, false
-		}
-		gi, ok := res.ClusterOf[f]
-		return gi, ok
-	}
 
-	waveSize := cfg.WaveSize
-	if waveSize <= 0 {
-		waveSize = space.Size()
-		if waveSize < 1 {
-			waveSize = 1
+	// A batch campaign takes whole-phase waves: Next(0) plans to the next
+	// decision barrier.
+	waveSize := 0
+	if perRound {
+		waveSize = cfg.WaveSize
+		if waveSize <= 0 {
+			waveSize = max(space.Size(), 1)
 		}
 	}
-
 	inc := beam.NewIncremental(cfg.Beam)
-	var (
-		cycles   []beam.Cycle
-		clusters []beam.CycleCluster
-	)
 
-	// Pipelined analysis: when no consumer needs round k's analysis
-	// before wave k+1 may start, the FCA-fed incremental search and the
-	// cycle clustering of a sealed round run on a background goroutine,
-	// concurrently with the next wave's simulations. Analysis consumes
-	// only immutable state -- the sealed wave-k graph snapshot, the wave's
-	// delta, and a copy of the schedule's scoring state taken before Next
-	// can mutate it at a phase barrier -- so the computed rounds are
-	// byte-identical to the blocking order; only wall-clock overlaps.
+	// Round analysis: the FCA-fed incremental search and the cycle
+	// clustering of a sealed round run on a background goroutine. Analysis
+	// consumes only immutable state -- the sealed wave-k graph snapshot,
+	// the wave's delta, and a copy of the schedule's scoring state taken
+	// before Next can mutate it at a phase barrier -- so when no consumer
+	// needs round k's analysis before wave k+1 may start it overlaps the
+	// next wave's simulations, and the computed rounds are byte-identical
+	// either way; only wall-clock overlaps.
 	//
 	// Early stopping genuinely needs round k's cluster fingerprint before
 	// planning round k+1, and checkpointing must seal rounds in lockstep
-	// with the schedule state it persists, so both keep the blocking loop.
+	// with the schedule state it persists, so both join the analysis
+	// before the next wave instead of after it.
 	pipeline := cfg.EarlyStopRounds == 0 && c.ckptFn == nil
 	type pendingRound struct {
 		r        Round
@@ -123,10 +124,9 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 		panicked any
 	}
 	var pend *pendingRound
-	// finishPending joins the in-flight analysis and seals its round:
-	// append, observer, convergence bookkeeping -- everything the blocking
-	// loop does after searching, in the same order.
-	finishPending := func() {
+	// seal joins the in-flight analysis and seals its round: append,
+	// observer, convergence bookkeeping.
+	seal := func() {
 		if pend == nil {
 			return
 		}
@@ -134,16 +134,15 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 		if pend.panicked != nil {
 			panic(pend.panicked)
 		}
-		cycles, clusters = pend.cycles, pend.clusters
 		r := pend.r
-		r.CycleCount = len(cycles)
-		r.Clusters = compactClusters(clusters)
+		r.CycleCount = len(pend.cycles)
+		r.Clusters = compactClusters(pend.clusters)
 		rep.Rounds = append(rep.Rounds, r)
 		if ro, ok := c.obs.(RoundObserver); ok {
 			ro.RoundCompleted(r)
 		}
-		fp := clusterFingerprint(clusters)
-		if len(cycles) > 0 && fp == lastFP {
+		fp := clusterFingerprint(pend.clusters)
+		if len(pend.cycles) > 0 && fp == lastFP {
 			stable++
 		} else {
 			stable = 0
@@ -152,7 +151,6 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 		pend = nil
 	}
 
-	roundNum := roundBase
 	for !rep.EarlyStopped && !sched.Done() && c.ctx.Err() == nil {
 		wave := sched.Next(waveSize)
 		if len(wave) == 0 {
@@ -166,9 +164,16 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 			// would not be meaningful.
 			break
 		}
+		if !perRound {
+			continue
+		}
 
+		// Join round k-1 (its analysis overlapped this wave's sims), then
+		// hand round k to the background analyser. The snapshot and the
+		// scoring-state copy are taken now, between Fold and the next Next.
+		seal()
 		roundNum++
-		r := Round{
+		p := &pendingRound{done: make(chan struct{}), r: Round{
 			Round:         roundNum,
 			Phase:         wave[len(wave)-1].Phase,
 			Runs:          len(wave),
@@ -177,59 +182,37 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 			NewEdges:      delta.New,
 			TouchedEdges:  len(delta.Edges),
 			TouchedFaults: len(delta.Faults),
-		}
-
+		}}
+		pend = p
+		snap := driver.Graph()
+		frozen := snapshotScoring(res)
+		go func() {
+			defer close(p.done)
+			defer func() { p.panicked = recover() }()
+			p.cycles = inc.SearchDelta(snap, delta, frozen.SimScoreOf)
+			p.clusters = beam.ClusterCycles(p.cycles, clusterLookup(frozen))
+		}()
 		if pipeline {
-			// Join round k-1 (its analysis overlapped this wave's sims),
-			// then hand round k to the background analyser. The snapshot
-			// and the scoring-state copy are taken now, between Fold and
-			// the next Next: exactly the state the blocking search sees.
-			finishPending()
-			snap := driver.Graph()
-			snapScore, snapCluster := snapshotScoring(res, isRandom)
-			p := &pendingRound{r: r, done: make(chan struct{})}
-			pend = p
-			go func() {
-				defer close(p.done)
-				defer func() { p.panicked = recover() }()
-				p.cycles = inc.SearchDelta(snap, delta, snapScore)
-				p.clusters = beam.ClusterCycles(p.cycles, snapCluster)
-			}()
 			continue
 		}
 
-		cycles = inc.SearchDelta(driver.Graph(), delta, scoreOf)
-		clusters = beam.ClusterCycles(cycles, clusterOf)
-		r.CycleCount = len(cycles)
-		r.Clusters = compactClusters(clusters)
-		rep.Rounds = append(rep.Rounds, r)
-		if ro, ok := c.obs.(RoundObserver); ok {
-			ro.RoundCompleted(r)
-		}
-
-		fp := clusterFingerprint(clusters)
-		if len(cycles) > 0 && fp == lastFP {
-			stable++
-		} else {
-			stable = 0
-		}
-		lastFP = fp
-		if c.ckptFn != nil {
+		seal()
+		if c.ckptFn != nil && resumable != nil {
 			// Checkpoint persistence is best-effort: a round whose
 			// checkpoint could not be built still completes, the campaign
 			// just resumes from an earlier round after a crash.
-			if cp, err := checkpointOf(c, cfg, driver, sched, src, r.Round, stable, lastFP); err == nil {
+			if cp, err := checkpointOf(c, cfg, driver, resumable, src, roundNum, stable, lastFP); err == nil {
 				c.ckptFn(cp)
 			}
 		}
-		if cfg.EarlyStopRounds > 0 && len(cycles) > 0 && stable >= cfg.EarlyStopRounds {
+		// stable > 0 implies the round just sealed has a non-empty cycle set.
+		if cfg.EarlyStopRounds > 0 && stable >= cfg.EarlyStopRounds {
 			rep.EarlyStopped = true
-			break
 		}
 	}
-	finishPending()
+	seal()
 
-	if !isRandom {
+	if cfg.Protocol != ProtocolRandom {
 		rep.Alloc = res
 	}
 	rep.Runs = res.Runs
@@ -240,17 +223,18 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 	// Final search with the finished allocation's scores: the last
 	// round's search can predate phase-two scoring (the schedule may
 	// finish clustering and scoring only while planning later, empty
-	// waves), and the batch pipeline ranks with the final SimScores. The
-	// graph is unchanged since the last round, so this is a fold-only
-	// re-rank for the incremental engine -- and a plain full search when
-	// no round ever executed.
-	cycles = inc.Search(driver.Graph(), scoreOf)
-	clusters = beam.ClusterCycles(cycles, clusterOf)
-	rep.Cycles = cycles
-	rep.CycleClusters = clusters
-	// Same teardown contract as the batch path: a cancellation racing the
-	// final re-rank still returns context.Canceled, and CampaignFinished
-	// never fires for a cancelled campaign.
+	// waves). The graph is unchanged since the last round, so this is a
+	// fold-only re-rank for the incremental engine; a batch campaign has
+	// no chain store to reuse and pays for none.
+	if perRound {
+		rep.Cycles = inc.Search(rep.Graph, res.SimScoreOf)
+	} else {
+		rep.Cycles = beam.SearchGraph(rep.Graph, res.SimScoreOf, cfg.Beam)
+	}
+	rep.CycleClusters = beam.ClusterCycles(rep.Cycles, clusterLookup(res))
+	// A cancellation racing the final search must still surface: the
+	// contract is that a cancelled campaign always returns the context
+	// error and never fires CampaignFinished.
 	if err := c.ctx.Err(); err != nil {
 		return rep, driver, err
 	}
@@ -265,28 +249,26 @@ func (c *Campaign) runAnytime(cfg Config, space *faults.Space, driver *harness.D
 
 // snapshotScoring freezes the schedule's scoring state for a background
 // round analysis: crossing a phase barrier in Next mutates SimScores and
-// ClusterOf in place, so the pipelined search is handed a copy equal to
-// what the blocking search would have seen at this round. The random
-// baseline never clusters or scores, so its snapshot is the constants.
-func snapshotScoring(res *alloc.Result, isRandom bool) (func(faults.ID) float64, func(faults.ID) (int, bool)) {
-	if isRandom {
-		return func(faults.ID) float64 { return 1 },
-			func(faults.ID) (int, bool) { return 0, false }
+// ClusterOf in place, so the search is handed a copy equal to what the
+// schedule held when the round was sealed.
+func snapshotScoring(res *alloc.Result) *alloc.Result {
+	frozen := &alloc.Result{
+		SimScores: append([]float64(nil), res.SimScores...),
+		ClusterOf: make(map[faults.ID]int, len(res.ClusterOf)),
 	}
-	scores := append([]float64(nil), res.SimScores...)
-	clusterOf := make(map[faults.ID]int, len(res.ClusterOf))
 	for f, gi := range res.ClusterOf {
-		clusterOf[f] = gi
+		frozen.ClusterOf[f] = gi
 	}
-	return func(f faults.ID) float64 {
-			if gi, ok := clusterOf[f]; ok && gi < len(scores) {
-				return scores[gi]
-			}
-			return 1
-		}, func(f faults.ID) (int, bool) {
-			gi, ok := clusterOf[f]
-			return gi, ok
-		}
+	return frozen
+}
+
+// clusterLookup adapts a result's fault clustering to the lookup
+// beam.ClusterCycles takes (unknown for faults never clustered).
+func clusterLookup(res *alloc.Result) func(faults.ID) (int, bool) {
+	return func(f faults.ID) (int, bool) {
+		gi, ok := res.ClusterOf[f]
+		return gi, ok
+	}
 }
 
 // newScheduler builds the wave-emitting schedule for the configured

@@ -129,6 +129,24 @@ func TestRoundObserverStreamsRounds(t *testing.T) {
 			t.Fatalf("round event %d = %+v, report %+v", i, r, rep.Rounds[i])
 		}
 	}
+
+	// A batch campaign runs the same loop but seals no rounds: the same
+	// observer hears nothing and the report carries no trajectory.
+	for _, proto := range []ProtocolKind{Protocol3PA, ProtocolRandom} {
+		rec := &roundRecorder{}
+		rep, err := NewCampaign(tinySystem{},
+			append(tinyOpts(), WithProtocol(proto), WithObserver(rec))...).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.rounds) != 0 || rep.Rounds != nil {
+			t.Fatalf("protocol %d: batch campaign sealed rounds: %d events, Report.Rounds = %v",
+				proto, len(rec.rounds), rep.Rounds)
+		}
+		if len(rep.Runs) == 0 {
+			t.Fatalf("protocol %d: batch campaign executed nothing", proto)
+		}
+	}
 }
 
 type roundRecorder struct {

@@ -10,10 +10,8 @@ package csnake
 import (
 	"context"
 	"io"
-	"math/rand"
 	"time"
 
-	"repro/internal/core/alloc"
 	"repro/internal/core/beam"
 	"repro/internal/core/fca"
 	"repro/internal/faults"
@@ -308,69 +306,11 @@ func (c *Campaign) RunWithDriver() (*Report, *harness.Driver, error) {
 			tw.Flush()
 		}
 	}
-	finish := func() (*Report, *harness.Driver, error) {
-		capture()
-		return rep, driver, c.ctx.Err()
-	}
 
 	driver.ProfileAll()
-	if c.ctx.Err() != nil {
-		return finish()
-	}
-
-	if cfg.Anytime || cfg.EarlyStopRounds > 0 || cfg.Protocol == ProtocolAdaptive {
-		return c.runAnytime(cfg, space, driver, rep, capture)
-	}
-	if c.resume != nil {
-		// Batch campaigns re-run from scratch deterministically; a stale
-		// checkpoint on one is a caller bug, not something to ignore.
-		return rep, driver, resumeErr("batch campaigns do not resume")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	switch cfg.Protocol {
-	case ProtocolRandom:
-		rep.Runs = alloc.Random(space, cfg.BudgetFactor, rng, driver)
-	default:
-		proto := &alloc.Protocol{
-			Space:            space,
-			BudgetFactor:     cfg.BudgetFactor,
-			ClusterThreshold: cfg.ClusterThreshold,
-			Rng:              rng,
-		}
-		rep.Alloc = proto.Run(driver)
-		rep.Runs = rep.Alloc.Runs
-	}
-	if c.ctx.Err() != nil {
-		return finish()
-	}
-
-	capture()
-
-	scoreOf := func(f faults.ID) float64 {
-		if rep.Alloc != nil {
-			return rep.Alloc.SimScoreOf(f)
-		}
-		return 1
-	}
-	rep.Cycles = beam.SearchGraph(rep.Graph, scoreOf, cfg.Beam)
-	rep.CycleClusters = beam.ClusterCycles(rep.Cycles, func(f faults.ID) (int, bool) {
-		if rep.Alloc == nil {
-			return 0, false
-		}
-		gi, ok := rep.Alloc.ClusterOf[f]
-		return gi, ok
-	})
-	// A cancellation racing the final search must still surface: the
-	// contract is that a cancelled campaign always returns the context
-	// error and never fires CampaignFinished.
 	if err := c.ctx.Err(); err != nil {
+		capture()
 		return rep, driver, err
 	}
-	if c.obs != nil {
-		for _, cy := range rep.Cycles {
-			c.obs.CycleFound(cy)
-		}
-		c.obs.CampaignFinished(rep)
-	}
-	return rep, driver, nil
+	return c.runRounds(cfg, space, driver, rep, capture)
 }

@@ -293,6 +293,16 @@ func TestContextCancellationMidCampaign(t *testing.T) {
 	if rep.Cycles != nil {
 		t.Fatalf("cancelled campaign reported cycles: %v", rep.Cycles)
 	}
+	// Progress streams: at parallelism 1 every experiment is sealed (and
+	// its event delivered) before the next one starts simulating, so a
+	// cancellation raised from the first event lets no second experiment
+	// run -- although a batch wave spans the whole of phase one.
+	if n := len(rep.Runs); n < 2 {
+		t.Fatalf("cancelled wave has %d runs; need at least 2 to tell streaming from sealing at the end", n)
+	}
+	if rec.experiments != 1 {
+		t.Fatalf("%d experiments reported after cancelling from the first event, want 1", rec.experiments)
+	}
 	for _, e := range rec.snapshot() {
 		if e == "finished" {
 			t.Fatal("CampaignFinished fired for a cancelled campaign")

@@ -108,13 +108,9 @@ func (c *Campaign) adoptResume(cp *Checkpoint, cfg Config, driver *harness.Drive
 // checkpointOf seals the campaign's position after a round: schedule
 // state, RNG draw count, cumulative sims, convergence counters, and the
 // serialized graph.
-func checkpointOf(c *Campaign, cfg Config, driver *harness.Driver, sched alloc.Scheduler,
+func checkpointOf(c *Campaign, cfg Config, driver *harness.Driver, res alloc.Resumable,
 	src *alloc.CountedSource, rounds, stable int, lastFP string) (*Checkpoint, error) {
 
-	res, ok := sched.(alloc.Resumable)
-	if !ok {
-		return nil, fmt.Errorf("csnake: scheduler %T is not resumable", sched)
-	}
 	gb, err := json.Marshal(driver.Graph())
 	if err != nil {
 		return nil, err

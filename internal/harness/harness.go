@@ -10,17 +10,18 @@
 // magnitude sweep of a delay experiment) fan out across a bounded worker
 // pool; every run owns an independent sim.Engine, and results are merged
 // in deterministic (plan, seed-index) order, so a parallel campaign is
-// bit-identical to a serial one. ExecuteWave additionally fans whole
-// experiments out across the pool: each experiment accumulates into a
-// private graph.Shard (no shared lock on the hot path) and the wave seal
-// merges the shards into the campaign graph in wave order, so the edge
-// stream, intern tables, mark boundaries, and observer event order are
-// byte-identical to serial execution. Profile/TestsFor/read accessors may
-// be called from any goroutine, but Execute (and ExecuteWave) calls must
-// be issued serially relative to each other (as the allocation protocols
-// do): concurrent calls would interleave edge insertions between mark
-// boundaries and corrupt the Marks/GraphUpTo experiment-to-edge
-// attribution.
+// bit-identical to a serial one. Experiments have one body and one entry
+// point: ExecuteWave runs each entry of a wave into a private graph.Shard
+// (no shared lock on the hot path) and seals the shards into the campaign
+// graph in wave order -- one experiment at a time on a serial driver,
+// fanned across the pool on a parallel one -- so the edge stream, intern
+// tables, mark boundaries, and observer event order do not depend on the
+// parallelism; Execute is a one-entry wave. Profile/TestsFor/read
+// accessors may be called from any goroutine, but ExecuteWave (and
+// Execute) calls must be issued serially relative to each other (as the
+// allocation schedules do): concurrent calls would interleave edge
+// insertions between mark boundaries and corrupt the GraphUpTo
+// experiment-to-edge attribution.
 package harness
 
 import (
@@ -240,24 +241,6 @@ func (d *Driver) emitProfile(test string, sims int) {
 	defer d.emitMu.Unlock()
 	if d.obs != nil {
 		d.obs.ProfileCached(test, sims)
-	}
-}
-
-func (d *Driver) emitExperiment(f faults.ID, test string, edges, intf int) {
-	d.emitMu.Lock()
-	defer d.emitMu.Unlock()
-	if d.obs != nil {
-		d.obs.ExperimentExecuted(f, test, edges, intf)
-	}
-}
-
-func (d *Driver) emitEdges(edges []fca.Edge) {
-	d.emitMu.Lock()
-	defer d.emitMu.Unlock()
-	if d.obs != nil {
-		for _, e := range edges {
-			d.obs.EdgeDiscovered(e)
-		}
 	}
 }
 
@@ -523,17 +506,99 @@ func (d *Driver) TestsFor(f faults.ID) []alloc.TestInfo {
 	return out
 }
 
-// Execute implements alloc.Executor: it runs the full injection
-// experiment for fault f under the named workload -- Reps seeds, and for
-// delay faults the whole magnitude sweep -- applies FCA against the
-// workload's profile set, accumulates the discovered edges, and returns
-// the additional fault ids triggered. The (magnitude x rep) grid executes
-// on the worker pool; FCA itself runs serially in magnitude order, so the
-// edge stream is deterministic.
+// Execute implements alloc.Executor: the full injection experiment for
+// fault f under the named workload, run as a one-entry wave. It returns
+// the additional fault ids triggered.
 func (d *Driver) Execute(f faults.ID, test string) []faults.ID {
+	recs, _ := d.ExecuteWave([]alloc.PlannedRun{{Fault: f, Test: test}})
+	return recs[0].Intf
+}
+
+// ExecuteWave executes one scheduled wave of experiments and returns the
+// completed run records together with the causal-graph delta the wave
+// contributed: the new and evidence-extended edges plus the fault ids
+// they touch. The delta is the handoff artifact of the campaign's round
+// loop (incremental search, round observers); like everything else the
+// driver produces, it is deterministic for a given campaign
+// configuration, serial or parallel.
+//
+// Every experiment accumulates into a private graph.Shard (edges, marks,
+// and the precomputed occurrence intern keys -- no shared lock on the
+// hot path) and buffers its observer events; sealing it merges the shard
+// into the campaign graph and replays the events. Seals happen in wave
+// order, so the raw edge sequence, intern tables, mark boundaries, OccCap
+// evidence merges, and the observer/trace-export stream are the same at
+// every parallelism. A serial driver (and a one-entry wave) seals each
+// experiment before the next one starts simulating: progress observers
+// stream, and a cancellation raised from one lands between experiments
+// even when the wave spans a whole allocation phase. A parallel driver
+// runs the wave's experiments concurrently -- each still fanning its own
+// (magnitude x rep) grid across the pool -- and seals after the fan-out.
+func (d *Driver) ExecuteWave(wave []alloc.PlannedRun) ([]alloc.RunRecord, graph.Delta) {
+	d.mu.Lock()
+	start := d.g.RawLen()
+	d.mu.Unlock()
+	recs := make([]alloc.RunRecord, len(wave))
+	seal := func(i int, res *waveResult) {
+		d.mu.Lock()
+		d.g.MergeShard(&res.shard)
+		d.mu.Unlock()
+		recs[i] = alloc.RunRecord{
+			Fault: wave[i].Fault, Test: wave[i].Test, Phase: wave[i].Phase,
+			Intf: res.intf,
+		}
+		d.emitWaveResult(res)
+	}
+	if d.sem == nil || len(wave) <= 1 {
+		for i, pr := range wave {
+			seal(i, d.executeShard(pr.Fault, pr.Test))
+		}
+	} else {
+		results := make([]*waveResult, len(wave))
+		d.each(len(wave), func(i int) {
+			results[i] = d.executeShard(wave[i].Fault, wave[i].Test)
+		})
+		for i, res := range results {
+			seal(i, res)
+		}
+	}
+	d.mu.Lock()
+	delta := d.g.DeltaSince(start)
+	d.mu.Unlock()
+	return recs, delta
+}
+
+// waveResult is one experiment's buffered outcome: the private edge
+// shard plus the observer events to replay -- in wave order, after the
+// shard merge -- when the experiment is sealed.
+type waveResult struct {
+	fault faults.ID
+	test  string
+	intf  []faults.ID
+	shard graph.Shard
+	// edges holds the per-plan FCA edge batches in analysis order;
+	// executed is false for experiments skipped after cancellation
+	// (their empty mark still merges, but no events are emitted).
+	edges    [][]fca.Edge
+	executed bool
+}
+
+// executeShard is the experiment body: it runs the injection experiment
+// for fault f under the named workload -- Reps seeds, and for delay
+// faults the whole magnitude sweep -- applies FCA against the workload's
+// profile set, and collects the additional fault ids triggered. The
+// (magnitude x rep) grid executes on the worker pool; FCA itself runs
+// serially in magnitude order, so the edge stream is deterministic.
+// Edges and the experiment mark accumulate into a private shard (with
+// occurrence intern keys precomputed off-lock) and observer events are
+// buffered; ExecuteWave merges the shard and replays the events in
+// deterministic wave order.
+func (d *Driver) executeShard(f faults.ID, test string) *waveResult {
+	res := &waveResult{fault: f, test: test}
 	pt, ok := d.space.Lookup(f)
 	if !ok {
-		return nil
+		// Unknown faults run nothing and leave no mark.
+		return res
 	}
 	w, wok := d.workloads[test]
 	if !wok {
@@ -569,142 +634,6 @@ func (d *Driver) Execute(f faults.ID, test string) []faults.ID {
 	if d.cancelled() {
 		// Partial run sets would make FCA nondeterministic; record an
 		// empty experiment so mark indices stay aligned with run records.
-		d.mu.Lock()
-		d.g.Mark()
-		d.mu.Unlock()
-		return nil
-	}
-
-	intfSet := make(map[faults.ID]bool)
-	var intf []faults.ID
-	newEdges := 0
-	for i, plan := range plans {
-		edges, add := fca.Analyze(d.space, plan, test, profile, sets[i], d.cfg.FCA)
-		d.mu.Lock()
-		d.g.AddAll(edges)
-		d.mu.Unlock()
-		d.emitEdges(edges)
-		newEdges += len(edges)
-		for _, id := range add {
-			if !intfSet[id] {
-				intfSet[id] = true
-				intf = append(intf, id)
-			}
-		}
-	}
-	sort.Slice(intf, func(i, j int) bool { return intf[i] < intf[j] })
-	d.mu.Lock()
-	d.g.Mark()
-	d.mu.Unlock()
-	d.emitExperiment(f, test, newEdges, len(intf))
-	return intf
-}
-
-// ExecuteWave executes one scheduled wave of experiments -- each
-// internally fanning its (magnitude x rep) grid across the worker pool --
-// and returns the completed run records together with the causal-graph
-// delta the wave contributed: the new and evidence-extended edges plus
-// the fault ids they touch. The delta is the handoff artifact of the
-// anytime pipeline (incremental search, round observers); like everything
-// else the driver produces, it is deterministic for a given campaign
-// configuration, serial or parallel.
-//
-// When the driver is parallel, the wave's experiments themselves execute
-// concurrently: each accumulates into a private graph.Shard (edges,
-// marks, and the precomputed occurrence intern keys -- no shared lock on
-// the hot path) and buffers its observer events. At wave seal the shards
-// are merged into the campaign graph in wave order and the buffered
-// events are replayed in the same order, so the raw edge sequence,
-// intern tables, mark boundaries, OccCap evidence merges, and the
-// observer/trace-export stream are all byte-identical to serial
-// execution. Serial drivers run the wave entries in order via Execute,
-// exactly as before.
-func (d *Driver) ExecuteWave(wave []alloc.PlannedRun) ([]alloc.RunRecord, graph.Delta) {
-	d.mu.Lock()
-	start := d.g.RawLen()
-	d.mu.Unlock()
-	recs := make([]alloc.RunRecord, len(wave))
-	if d.sem == nil || len(wave) <= 1 {
-		for i, pr := range wave {
-			recs[i] = alloc.RunRecord{
-				Fault: pr.Fault, Test: pr.Test, Phase: pr.Phase,
-				Intf: d.Execute(pr.Fault, pr.Test),
-			}
-		}
-		d.mu.Lock()
-		delta := d.g.DeltaSince(start)
-		d.mu.Unlock()
-		return recs, delta
-	}
-	results := make([]*waveResult, len(wave))
-	d.each(len(wave), func(i int) {
-		results[i] = d.executeShard(wave[i].Fault, wave[i].Test)
-	})
-	d.mu.Lock()
-	for _, res := range results {
-		d.g.MergeShard(&res.shard)
-	}
-	delta := d.g.DeltaSince(start)
-	d.mu.Unlock()
-	for i, pr := range wave {
-		recs[i] = alloc.RunRecord{
-			Fault: pr.Fault, Test: pr.Test, Phase: pr.Phase,
-			Intf: results[i].intf,
-		}
-		d.emitWaveResult(results[i])
-	}
-	return recs, delta
-}
-
-// waveResult is one experiment's buffered outcome inside a parallel
-// wave: the private edge shard plus the observer events to replay --
-// in wave order, after the shard merge -- at wave seal.
-type waveResult struct {
-	fault faults.ID
-	test  string
-	intf  []faults.ID
-	shard graph.Shard
-	// edges holds the per-plan FCA edge batches in analysis order;
-	// executed is false for experiments skipped after cancellation
-	// (their empty mark still merges, but no events are emitted).
-	edges    [][]fca.Edge
-	executed bool
-}
-
-// executeShard is Execute's parallel-wave twin: the same run sets, FCA
-// analysis, and interference collection, but edges and the experiment
-// mark accumulate into a private shard (with occurrence intern keys
-// precomputed off-lock) and observer events are buffered instead of
-// emitted. The caller merges the shard and replays the events in
-// deterministic wave order.
-func (d *Driver) executeShard(f faults.ID, test string) *waveResult {
-	res := &waveResult{fault: f, test: test}
-	pt, ok := d.space.Lookup(f)
-	if !ok {
-		// Mirror Execute: unknown faults run nothing and leave no mark.
-		return res
-	}
-	w, wok := d.workloads[test]
-	if !wok {
-		panic(fmt.Sprintf("harness: unknown workload %q", test))
-	}
-	profile := d.Profile(test)
-
-	var plans []inject.Plan
-	var seeds [][]int64
-	if pt.Kind == faults.Loop {
-		for mi, mag := range d.cfg.DelayMagnitudes {
-			plans = append(plans, inject.PlanFor(pt, mag))
-			seeds = append(seeds, d.planSeeds(test, f, mi))
-		}
-	} else {
-		plans = append(plans, inject.PlanFor(pt, 0))
-		seeds = append(seeds, d.planSeeds(test, f, 0))
-	}
-	sets := d.runSets(w, plans, seeds)
-	defer d.releaseSets(sets)
-
-	if d.cancelled() {
 		res.shard.Mark()
 		return res
 	}
@@ -728,10 +657,9 @@ func (d *Driver) executeShard(f faults.ID, test string) *waveResult {
 }
 
 // emitWaveResult replays one experiment's buffered observer events under
-// a single emitMu acquisition (the serial path takes it once per edge
-// batch plus once per experiment): per-edge discoveries in analysis
-// order, then the experiment summary. Event order across the wave equals
-// the serial emission order, so trace exports stay byte-identical.
+// a single emitMu acquisition: per-edge discoveries in analysis order,
+// then the experiment summary. ExecuteWave calls it in wave order, so
+// trace exports are byte-identical at every parallelism.
 func (d *Driver) emitWaveResult(res *waveResult) {
 	if !res.executed {
 		return
@@ -784,16 +712,6 @@ func (d *Driver) OffsetSims(n int) error {
 	return nil
 }
 
-// Marks returns the cumulative raw dynamic-edge count after each Execute
-// call, in call order. Combined with the allocation's run records this
-// attributes every edge to the experiment (and hence 3PA phase) that
-// discovered it.
-func (d *Driver) Marks() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.g.Marks()
-}
-
 // Graph returns a sealed snapshot of the full causal graph accumulated so
 // far (dynamic edges plus the static ICFG/CFG loop edges): the indexed,
 // serializable artifact the beam search, report tables, and cross-
@@ -818,27 +736,12 @@ func (d *Driver) GraphUpTo(n int) *graph.Graph {
 	return d.g.Prefix(n)
 }
 
-// EdgesUpTo returns the dynamic edges discovered by the first n Execute
-// calls plus the static loop edges, deduplicated (materialized from the
-// graph prefix snapshot; identical to the legacy copy-and-rededup result).
-func (d *Driver) EdgesUpTo(n int) []fca.Edge {
-	return d.GraphUpTo(n).Edges()
-}
-
 // Edges returns the deduplicated causal edge set discovered so far,
 // including the static ICFG/CFG loop edges.
 func (d *Driver) Edges() []fca.Edge {
 	return d.Graph().Edges()
 }
 
-// saltOf derives a stable per-(test,fault) seed salt. The FNV-1a hash
-// accumulates in uint64 and reduces from there: the previous int64
-// accumulate-negate-mod dance mapped a hash of math.MinInt64 back onto
-// itself (negation overflow), producing a negative salt. Note that
-// uint64(h) % p differs from the old |h| % p whenever the hash's top bit
-// is set (roughly half of all inputs), so all run seeds -- and hence the
-// exact edge sets of campaigns replayed from before this change -- moved;
-// within any one build, campaigns remain fully reproducible.
 // seedPoolSize is the per-workload seed pool width as a multiple of
 // cfg.Reps. All plans of a workload draw their rep seeds from one pool
 // of seedPoolSize*Reps seeds (rotated by fault and magnitude), so many
@@ -865,6 +768,14 @@ func (d *Driver) planSeeds(test string, f faults.ID, mi int) []int64 {
 	return out
 }
 
+// saltOf derives a stable per-(test,fault) seed salt. The FNV-1a hash
+// accumulates in uint64 and reduces from there: the previous int64
+// accumulate-negate-mod dance mapped a hash of math.MinInt64 back onto
+// itself (negation overflow), producing a negative salt. Note that
+// uint64(h) % p differs from the old |h| % p whenever the hash's top bit
+// is set (roughly half of all inputs), so all run seeds -- and hence the
+// exact edge sets of campaigns replayed from before this change -- moved;
+// within any one build, campaigns remain fully reproducible.
 func saltOf(test, fault string) int64 {
 	h := uint64(1469598103934665603)
 	for _, s := range []string{test, fault} {

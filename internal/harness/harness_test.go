@@ -87,19 +87,19 @@ func TestTestsForUsesSharedCoverageCache(t *testing.T) {
 func TestExecuteAccumulatesEdgesAndMarks(t *testing.T) {
 	d := lightDriver(t)
 	d.Execute(dfs.PtNNIBRProcessLoop, "ibr_storm")
-	marks := d.Marks()
+	marks := d.Graph().Marks()
 	if len(marks) != 1 {
 		t.Fatalf("marks = %v", marks)
 	}
 	if marks[0] == 0 {
 		t.Fatal("no edges recorded for a storm-producing injection")
 	}
-	edges := d.EdgesUpTo(1)
+	edges := d.GraphUpTo(1).Edges()
 	if len(edges) == 0 {
-		t.Fatal("EdgesUpTo(1) empty")
+		t.Fatal("GraphUpTo(1).Edges() empty")
 	}
-	if got := d.EdgesUpTo(0); len(got) >= len(edges) {
-		t.Fatalf("EdgesUpTo(0) = %d edges, want only static ones (< %d)", len(got), len(edges))
+	if got := d.GraphUpTo(0).Edges(); len(got) >= len(edges) {
+		t.Fatalf("GraphUpTo(0).Edges() = %d edges, want only static ones (< %d)", len(got), len(edges))
 	}
 }
 
@@ -116,8 +116,8 @@ func TestParallelExecuteMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial.Edges(), parallel.Edges()) {
 		t.Fatalf("edge sets diverge:\nserial:   %v\nparallel: %v", serial.Edges(), parallel.Edges())
 	}
-	if !reflect.DeepEqual(serial.Marks(), parallel.Marks()) {
-		t.Fatalf("marks diverge: %v vs %v", serial.Marks(), parallel.Marks())
+	if !reflect.DeepEqual(serial.Graph().Marks(), parallel.Graph().Marks()) {
+		t.Fatalf("marks diverge: %v vs %v", serial.Graph().Marks(), parallel.Graph().Marks())
 	}
 	if serial.SimCount() != parallel.SimCount() {
 		t.Fatalf("sim counts diverge: %d vs %d", serial.SimCount(), parallel.SimCount())
@@ -155,7 +155,7 @@ func TestExecuteWaveMatchesSerialExecutes(t *testing.T) {
 	if !reflect.DeepEqual(d.Edges(), ref.Edges()) {
 		t.Fatal("wave-driven edge set diverges from serial Executes")
 	}
-	if !reflect.DeepEqual(d.Marks(), ref.Marks()) {
+	if !reflect.DeepEqual(d.Graph().Marks(), ref.Graph().Marks()) {
 		t.Fatal("wave-driven marks diverge from serial Executes")
 	}
 
@@ -188,7 +188,7 @@ func TestCancelledDriverStopsSimulating(t *testing.T) {
 	if d.SimCount() != sims {
 		t.Fatalf("cancelled Execute ran %d simulations", d.SimCount()-sims)
 	}
-	if marks := d.Marks(); len(marks) != 2 {
+	if marks := d.Graph().Marks(); len(marks) != 2 {
 		t.Fatalf("marks not aligned with Execute calls: %v", marks)
 	}
 }
@@ -236,7 +236,7 @@ func (r *legacyRecorder) EdgeDiscovered(e fca.Edge)                      { r.raw
 
 // TestEdgesUpToMatchesSeedSemantics pins the graph-backed prefix
 // snapshots against the seed semantics on a real campaign slice: for
-// every experiment count n, EdgesUpTo(n) must equal
+// every experiment count n, GraphUpTo(n).Edges() must equal
 // Dedup(raw[:marks[n-1]] ++ StaticLoopEdges), the legacy formula.
 func TestEdgesUpToMatchesSeedSemantics(t *testing.T) {
 	sys := dfs.NewV2()
@@ -248,7 +248,7 @@ func TestEdgesUpToMatchesSeedSemantics(t *testing.T) {
 	d.Execute(dfs.PtNNIBRProcessLoop, "ibr_storm")
 	d.Execute(dfs.PtDNIBRRPCIOE, "ibr_interval")
 	d.Execute(dfs.PtDNIBRRPCIOE, "ibr_storm")
-	marks := d.Marks()
+	marks := d.Graph().Marks()
 	if len(marks) != 3 {
 		t.Fatalf("marks = %v", marks)
 	}
@@ -262,13 +262,10 @@ func TestEdgesUpToMatchesSeedSemantics(t *testing.T) {
 			cut = marks[n-1]
 		}
 		want := fca.Dedup(append(append([]fca.Edge(nil), rec.raw[:cut]...), static...))
-		got := d.EdgesUpTo(n)
+		got := d.GraphUpTo(n).Edges()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("EdgesUpTo(%d) diverges from seed semantics: got %d edges, want %d\ngot:  %v\nwant: %v",
+			t.Fatalf("GraphUpTo(%d).Edges() diverges from seed semantics: got %d edges, want %d\ngot:  %v\nwant: %v",
 				n, len(got), len(want), got, want)
-		}
-		if g := d.GraphUpTo(n); !reflect.DeepEqual(g.Edges(), want) {
-			t.Fatalf("GraphUpTo(%d).Edges() diverges: %v", n, g.Edges())
 		}
 	}
 }

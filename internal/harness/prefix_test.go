@@ -140,8 +140,8 @@ func TestPrefixShareMatchesScratch(t *testing.T) {
 				if !reflect.DeepEqual(d.Edges(), scratch.Edges()) {
 					t.Errorf("edges diverge:\nshared:  %v\nscratch: %v", d.Edges(), scratch.Edges())
 				}
-				if !reflect.DeepEqual(d.Marks(), scratch.Marks()) {
-					t.Errorf("marks diverge: %v vs %v", d.Marks(), scratch.Marks())
+				if !reflect.DeepEqual(d.Graph().Marks(), scratch.Graph().Marks()) {
+					t.Errorf("marks diverge: %v vs %v", d.Graph().Marks(), scratch.Graph().Marks())
 				}
 				if d.SimCount() != scratch.SimCount() {
 					t.Errorf("sim counts diverge: shared %d vs scratch %d", d.SimCount(), scratch.SimCount())
