@@ -182,126 +182,6 @@ func BenchmarkCampaign_MetaStoreAnytimeEarlyStop(b *testing.B) {
 	benchCampaignMetaStore(b, csnake.WithEarlyStop(3), csnake.WithWaveSize(4))
 }
 
-// --- E2c': prefix sharing -- fork-at-injection vs scratch re-simulation ---
-
-// stagedSys is a bench-only target: metastore's Raft cluster under
-// workloads shaped so that every injectable fault point is first
-// reached roughly halfway into the horizon, behind a proposal-heavy
-// warm-up. Real campaigns spread first-reach times from near zero, so
-// the average shared prefix is short; this system isolates the
-// prefix-sharing win by construction -- the stretched election timeout
-// gates the election family to ~15s, the late transfer and pauser gate
-// elections and snapshot transfers to ~20s, and the fault space keeps
-// only those late points (the always-hot ones -- replication round,
-// fsync, apply, propose -- are excluded, since runs injecting them
-// diverge immediately and share nothing).
-type stagedSys struct{}
-
-func (stagedSys) Name() string { return "MetaStoreStaged" }
-
-func (stagedSys) Points() []faults.Point {
-	keep := map[faults.ID]bool{
-		metastore.PtElectionLoop: true,
-		metastore.PtVoteRPCIOE:   true,
-		metastore.PtQuorumOK:     true,
-		metastore.PtLogUpToDate:  true,
-		metastore.PtSnapSendLoop: true,
-		metastore.PtSnapRPCIOE:   true,
-	}
-	var pts []faults.Point
-	for _, pt := range metastore.New().Points() {
-		if keep[pt.ID] {
-			pts = append(pts, pt)
-		}
-	}
-	return pts
-}
-
-func (stagedSys) Nests() []faults.LoopNest { return nil }
-func (stagedSys) SourceDirs() []string     { return nil }
-func (stagedSys) Bugs() []sysreg.Bug       { return nil }
-
-func stagedWL(name, desc string, cfg metastore.Config, scenario func(*metastore.Cluster)) sysreg.Workload {
-	return sysreg.Workload{
-		Name: name, Desc: desc, Horizon: 40 * time.Second,
-		Run: func(ctx *sysreg.RunContext) {
-			c := metastore.NewCluster(ctx, cfg)
-			scenario(c)
-			ctx.Ckpt = c
-		},
-	}
-}
-
-func (stagedSys) Workloads() []sysreg.Workload {
-	// Every variant front-loads ~31s of saturating proposal traffic (the
-	// bulk of a run's events -- replication, fsync, and apply scale with
-	// entries) and only makes the injectable faults reachable in the
-	// final quarter: elections cannot happen before the ~34s transfer,
-	// and the snapshot path needs the ~34.5s pause to open a >SnapLag
-	// log gap against the late proposer. The 3PA protocol injects each
-	// (fault, workload) pair at most once, so the variants are what give
-	// the schedule room to spend a real budget -- each one covers all
-	// six faults.
-	cfg := metastore.Config{
-		ElectionTimeout: 15 * time.Second, ElectionJitter: 2 * time.Second,
-		SnapLag: 30,
-	}
-	// The workload names are deliberate: the harness draws each plan's
-	// rep seeds from a per-workload pool rotated by a (name, fault) hash
-	// (see harness.planSeeds), and these names make all six faults' seed
-	// windows overlap, so the campaign's ~90 injected runs concentrate on
-	// ~4 (workload, seed) pairs per workload. That is the regime prefix
-	// sharing is built for -- many runs re-simulating one warm-up -- and
-	// keeps the benchmark's prefix-engine count (the sharing overhead)
-	// from washing out the measured win.
-	names := []string{"staged_10564", "staged_14328", "staged_36299", "staged_180063", "staged_214295"}
-	var wls []sysreg.Workload
-	for i := 0; i < 5; i++ {
-		i := i
-		wls = append(wls, stagedWL(names[i],
-			"late transfer + pause-forced snapshot behind a heavy warm-up", cfg,
-			func(c *metastore.Cluster) {
-				jitter := time.Duration(i) * 50 * time.Millisecond
-				c.SpawnProposer("c1", 300, 6, 95*time.Millisecond, jitter)
-				c.SpawnProposer("c2", 290, 6, 105*time.Millisecond, 150*time.Millisecond+jitter)
-				c.SpawnProposer("c3", 280, 6, 110*time.Millisecond, 300*time.Millisecond+jitter)
-				c.SpawnProposer("late", 40, 6, 100*time.Millisecond, 34500*time.Millisecond)
-				c.SpawnTransferLoop("admin", 35*time.Second+time.Duration(i)*300*time.Millisecond, 3*time.Second, 2)
-				c.SpawnPauser("churn", 2, 35500*time.Millisecond+time.Duration(i)*200*time.Millisecond,
-					1500*time.Millisecond, 10*time.Second, 1)
-			}))
-	}
-	return wls
-}
-
-// benchCampaignStaged is the PR's acceptance pair: the same campaign
-// with prefix sharing on vs off. Results are byte-identical (the
-// harness tests pin that); sims parity is asserted here so the pair
-// cannot drift apart silently.
-func benchCampaignStaged(b *testing.B, share bool) {
-	for i := 0; i < b.N; i++ {
-		rep, err := csnake.NewCampaign(stagedSys{},
-			csnake.WithSeed(42),
-			csnake.WithReps(3),
-			csnake.WithBudgetFactor(20),
-			csnake.WithDelayMagnitudes(time.Second, 2*time.Second, 3500*time.Millisecond, 5*time.Second),
-			csnake.WithParallelism(1),
-			csnake.WithPrefixSharing(share),
-		).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Sims == 0 {
-			b.Fatal("empty campaign")
-		}
-		b.ReportMetric(float64(rep.Sims), "sims")
-		b.ReportMetric(float64(rep.Checkpoint.Avoided()), "avoided")
-	}
-}
-
-func BenchmarkCampaign_MetaStorePrefixShare(b *testing.B)    { benchCampaignStaged(b, true) }
-func BenchmarkCampaign_MetaStorePrefixShareOff(b *testing.B) { benchCampaignStaged(b, false) }
-
 // --- E2d: the campaign service -- shared worker budget across jobs ---
 
 // benchServiceCampaigns submits four HBase campaigns to a csnaked job

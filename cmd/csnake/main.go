@@ -32,7 +32,7 @@
 // Usage: csnake [-system NAME] [-seed N] [-reps N] [-budget N] [-parallel N]
 //
 //	[-fast] [-progress] [-list] [-edges-out FILE] [-edges-in FILE,...]
-//	[-anytime] [-early-stop N] [-wave N] [-adaptive] [-no-prefix-share]
+//	[-anytime] [-early-stop N] [-wave N] [-adaptive]
 //	[-trace-out FILE] [-monitor FILE [-monitor-batch N]
 //	[-monitor-window DUR] [-monitor-buckets N]]
 //	[-cpuprofile FILE] [-memprofile FILE]
@@ -119,7 +119,6 @@ func main() {
 	earlyStop := flag.Int("early-stop", 0, "stop once the clustered cycle set is stable for N rounds (implies -anytime)")
 	wave := flag.Int("wave", 0, "experiments per anytime round (0 = |F|; implies -anytime)")
 	adaptive := flag.Bool("adaptive", false, "adaptive protocol: phase-3 budget chases near-cycles (implies -anytime)")
-	noShare := flag.Bool("no-prefix-share", false, "disable fork-at-injection prefix sharing (results are byte-identical either way)")
 	list := flag.Bool("list", false, "list registered systems and exit")
 	edgesOut := flag.String("edges-out", "", "write the campaign's causal graph (or the -edges-in merge) as JSON")
 	edgesIn := flag.String("edges-in", "", "comma-separated persisted graphs: skip the campaign, stitch them, and re-search")
@@ -177,8 +176,7 @@ func main() {
 			csnake.WithReps(3),
 			csnake.WithDelayMagnitudes(500*time.Millisecond, 2*time.Second, 8*time.Second))
 	}
-	opts = append(opts, csnake.WithReps(*reps), csnake.WithBudgetFactor(*budget),
-		csnake.WithPrefixSharing(!*noShare))
+	opts = append(opts, csnake.WithReps(*reps), csnake.WithBudgetFactor(*budget))
 	streaming := *anytime || *earlyStop > 0 || *adaptive || *wave > 0
 	if streaming {
 		opts = append(opts, csnake.WithAnytime(),
@@ -233,12 +231,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "system=%s |F|=%d experiments=%d sims=%d edges=%d cycles=%d clusters=%d wall=%v\n",
 			rep.System, rep.Space.Size(), len(rep.Runs), rep.Sims, len(rep.Edges), len(rep.Cycles), len(rep.CycleClusters), time.Since(start).Round(time.Millisecond))
-		narrateCheckpoint(rep)
 		return
 	}
 	fmt.Printf("system=%s |F|=%d experiments=%d sims=%d edges=%d cycles=%d clusters=%d parallel=%d wall=%v\n",
 		rep.System, rep.Space.Size(), len(rep.Runs), rep.Sims, len(rep.Edges), len(rep.Cycles), len(rep.CycleClusters), *parallel, time.Since(start).Round(time.Millisecond))
-	narrateCheckpoint(rep)
 
 	labeled := csnake.Label(rep, sys.Bugs())
 	for _, lc := range labeled {
@@ -288,20 +284,6 @@ func startProfiles(cpuPath, memPath string) func() {
 			log.Fatalf("memprofile: %v", err)
 		}
 	}
-}
-
-// narrateCheckpoint prints the prefix-sharing summary to stderr: how
-// many injected runs forked from checkpoints or cloned cached profile
-// runs instead of re-simulating their warm-up (silent with sharing off).
-func narrateCheckpoint(rep *csnake.Report) {
-	ck := rep.Checkpoint
-	if ck.PrefixRuns == 0 && ck.Avoided() == 0 && ck.Misses == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr,
-		"prefix sharing: %d runs avoided re-simulating their warm-up (%d forked from checkpoints, %d cloned), %d from scratch; %d prefix engines, %.1f MiB checkpoints held, %d evicted\n",
-		ck.Avoided(), ck.Hits, ck.Clones, ck.Misses,
-		ck.PrefixRuns, float64(ck.BytesHeld)/(1<<20), ck.Evictions)
 }
 
 // researchGraphs loads persisted causal graphs, stitches them into one,

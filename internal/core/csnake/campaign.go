@@ -192,15 +192,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithPrefixSharing toggles fork-at-injection prefix sharing (default
-// on): injected runs fork from checkpoints of their (workload, seed)
-// profile prefix instead of re-simulating the shared warm-up. Results
-// are byte-identical either way -- off is an escape hatch and the
-// benchmark baseline; Report.Checkpoint carries the cache counters.
-func WithPrefixSharing(on bool) Option {
-	return func(c *Campaign) { c.cfg.Harness.NoPrefixShare = !on }
-}
-
 // WithWorkerPool layers a shared simulation budget under the campaign's
 // parallelism: every simulated run must hold both a campaign worker slot
 // (WithParallelism) and a token from pool while it executes, so several
@@ -294,7 +285,6 @@ func (c *Campaign) RunWithDriver() (*Report, *harness.Driver, error) {
 		}
 		rep.Edges = rep.Graph.Edges()
 		rep.Sims = driver.SimCount()
-		rep.Checkpoint = driver.CheckpointStats()
 		if tw != nil {
 			// Scores ride the trace too (last record wins on replay), so a
 			// monitor's re-search ranks cycles like the offline one.

@@ -117,10 +117,6 @@ type Report struct {
 	CycleClusters []beam.CycleCluster
 	// Sims is the number of simulated executions performed.
 	Sims int
-	// Checkpoint reports the prefix-sharing cache counters (all zero when
-	// sharing is disabled). Performance telemetry only: campaign results
-	// are byte-identical with sharing on or off.
-	Checkpoint harness.CheckpointStats
 	// Rounds carries the per-round convergence trajectory of an anytime
 	// campaign (nil for batch campaigns).
 	Rounds []Round

@@ -191,29 +191,34 @@ func occKeys(o trace.Occurrence) (stack, full string) {
 	return stack, b.String()
 }
 
-func (g *Graph) internOcc(seq int, occ []trace.Occurrence) []occEntry {
-	if len(occ) == 0 {
-		return nil
-	}
-	out := make([]occEntry, len(occ))
-	for i, o := range occ {
-		sk, fk := occKeys(o)
-		out[i] = occEntry{seq: seq, occ: o, stackKey: g.internKey(sk), fullKey: g.internKey(fk)}
-	}
-	return out
+// occKeyStrings holds the stack-only and stack+branch key strings of one
+// occurrence (see occKeys).
+type occKeyStrings struct {
+	stack, full string
 }
 
-// mergeInto appends evidence while the accepted total stays under
-// trace.OccCap, mirroring fca.Dedup's mergeOcc (the first insertion's
-// evidence is kept whole even if it already exceeds the cap; later
-// evidence is interned only if accepted).
-func (g *Graph) mergeInto(dst []occEntry, seq int, occ []trace.Occurrence) []occEntry {
-	for _, o := range occ {
-		if len(dst) >= trace.OccCap {
+// appendOcc appends occurrence evidence to dst, interning each accepted
+// occurrence's key strings: keys[i] when a Shard precomputed them, derived
+// here otherwise. A capped append (every merge into an existing record)
+// stops once dst holds trace.OccCap entries, mirroring fca.Dedup's
+// mergeOcc; the first insertion's evidence is kept whole even if it
+// already exceeds the cap. Rejected occurrences are neither keyed nor
+// interned, so intern-table order depends only on the accepted sequence.
+func (g *Graph) appendOcc(dst []occEntry, seq int, occ []trace.Occurrence, keys []occKeyStrings, capped bool) []occEntry {
+	if dst == nil && len(occ) > 0 {
+		dst = make([]occEntry, 0, len(occ))
+	}
+	for i, o := range occ {
+		if capped && len(dst) >= trace.OccCap {
 			break
 		}
-		sk, fk := occKeys(o)
-		dst = append(dst, occEntry{seq: seq, occ: o, stackKey: g.internKey(sk), fullKey: g.internKey(fk)})
+		var k occKeyStrings
+		if keys != nil {
+			k = keys[i]
+		} else {
+			k.stack, k.full = occKeys(o)
+		}
+		dst = append(dst, occEntry{seq: seq, occ: o, stackKey: g.internKey(k.stack), fullKey: g.internKey(k.full)})
 	}
 	return dst
 }
@@ -228,6 +233,13 @@ func (g *Graph) Add(e fca.Edge) {
 		g.addStatic(e)
 		return
 	}
+	g.add(&e, nil, nil)
+}
+
+// add is the one dynamic insertion: Add passes nil key strings, MergeShard
+// the ones its Shard computed outside the lock (aligned 1:1 with
+// e.FromState.Occ / e.ToState.Occ).
+func (g *Graph) add(e *fca.Edge, fromKeys, toKeys []occKeyStrings) {
 	seq := g.seq
 	g.seq++
 	k := edgeKey{
@@ -239,8 +251,8 @@ func (g *Graph) Add(e fca.Edge) {
 	if ref, ok := g.byKey[k]; ok && ref > 0 {
 		r := &g.dyn[ref-1]
 		nf, nt := len(r.fromOcc), len(r.toOcc)
-		r.fromOcc = g.mergeInto(r.fromOcc, seq, e.FromState.Occ)
-		r.toOcc = g.mergeInto(r.toOcc, seq, e.ToState.Occ)
+		r.fromOcc = g.appendOcc(r.fromOcc, seq, e.FromState.Occ, fromKeys, true)
+		r.toOcc = g.appendOcc(r.toOcc, seq, e.ToState.Occ, toKeys, true)
 		if len(r.fromOcc) > nf || len(r.toOcc) > nt {
 			r.lastSeq = seq
 		}
@@ -254,8 +266,8 @@ func (g *Graph) Add(e fca.Edge) {
 		toDelay:   e.ToState.DelayFault,
 		firstSeq:  seq,
 		lastSeq:   seq,
-		fromOcc:   g.internOcc(seq, e.FromState.Occ),
-		toOcc:     g.internOcc(seq, e.ToState.Occ),
+		fromOcc:   g.appendOcc(nil, seq, e.FromState.Occ, fromKeys, false),
+		toOcc:     g.appendOcc(nil, seq, e.ToState.Occ, toKeys, false),
 	})
 	g.byKey[k] = int32(len(g.dyn)) // +1 offset
 }
@@ -287,8 +299,8 @@ func (g *Graph) addStatic(e fca.Edge) {
 	}
 	if ref, ok := g.byKey[k]; ok && ref < 0 {
 		r := &g.static[-ref-1]
-		r.fromOcc = g.mergeInto(r.fromOcc, -1, e.FromState.Occ)
-		r.toOcc = g.mergeInto(r.toOcc, -1, e.ToState.Occ)
+		r.fromOcc = g.appendOcc(r.fromOcc, -1, e.FromState.Occ, nil, true)
+		r.toOcc = g.appendOcc(r.toOcc, -1, e.ToState.Occ, nil, true)
 		return
 	}
 	g.static = append(g.static, edgeRec{
@@ -363,9 +375,6 @@ func occList(entries []occEntry) []trace.Occurrence {
 	}
 	return out
 }
-
-// EdgeAt materializes the edge at logical index i.
-func (g *Graph) EdgeAt(i int) fca.Edge { return g.materialize(g.rec(i)) }
 
 // Edges materializes every unique edge in logical order: dynamic edges in
 // first-discovery order followed by the static loop edges -- byte-for-byte

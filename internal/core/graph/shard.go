@@ -25,13 +25,6 @@ type Shard struct {
 	ops []shardOp
 }
 
-// occKeyStrings holds the precomputed stack-only and stack+branch key
-// strings for one occurrence -- the worker-side stack-intern cache that
-// MergeShard promotes into the graph's intern table on acceptance.
-type occKeyStrings struct {
-	stack, full string
-}
-
 type shardOp struct {
 	mark bool // a Mark boundary; edge fields unused
 	edge fca.Edge
@@ -93,67 +86,7 @@ func (g *Graph) MergeShard(s *Shard) {
 		case op.edge.Kind.Static():
 			g.addStatic(op.edge)
 		default:
-			g.addPrekeyed(&op.edge, op.fromKeys, op.toKeys)
+			g.add(&op.edge, op.fromKeys, op.toKeys)
 		}
 	}
-}
-
-// addPrekeyed mirrors Add for a dynamic edge whose occurrence key
-// strings were already computed (outside the lock) by a Shard.
-func (g *Graph) addPrekeyed(e *fca.Edge, fromKeys, toKeys []occKeyStrings) {
-	seq := g.seq
-	g.seq++
-	k := edgeKey{
-		from: g.internFault(e.From),
-		to:   g.internFault(e.To),
-		kind: e.Kind,
-		test: g.internTest(e.Test),
-	}
-	if ref, ok := g.byKey[k]; ok && ref > 0 {
-		r := &g.dyn[ref-1]
-		nf, nt := len(r.fromOcc), len(r.toOcc)
-		r.fromOcc = g.mergePrekeyed(r.fromOcc, seq, e.FromState.Occ, fromKeys)
-		r.toOcc = g.mergePrekeyed(r.toOcc, seq, e.ToState.Occ, toKeys)
-		if len(r.fromOcc) > nf || len(r.toOcc) > nt {
-			r.lastSeq = seq
-		}
-		return
-	}
-	g.dyn = append(g.dyn, edgeRec{
-		from: k.from, to: k.to, kind: e.Kind,
-		fromClass: e.FromClass, toClass: e.ToClass,
-		test:      k.test,
-		fromDelay: e.FromState.DelayFault,
-		toDelay:   e.ToState.DelayFault,
-		firstSeq:  seq,
-		lastSeq:   seq,
-		fromOcc:   g.internPrekeyed(seq, e.FromState.Occ, fromKeys),
-		toOcc:     g.internPrekeyed(seq, e.ToState.Occ, toKeys),
-	})
-	g.byKey[k] = int32(len(g.dyn)) // +1 offset
-}
-
-// internPrekeyed is internOcc with the key strings supplied.
-func (g *Graph) internPrekeyed(seq int, occ []trace.Occurrence, keys []occKeyStrings) []occEntry {
-	if len(occ) == 0 {
-		return nil
-	}
-	out := make([]occEntry, len(occ))
-	for i, o := range occ {
-		out[i] = occEntry{seq: seq, occ: o, stackKey: g.internKey(keys[i].stack), fullKey: g.internKey(keys[i].full)}
-	}
-	return out
-}
-
-// mergePrekeyed is mergeInto with the key strings supplied: keys are
-// interned only for occurrences accepted under the cap, exactly as the
-// serial merge does, so intern-table order is unchanged.
-func (g *Graph) mergePrekeyed(dst []occEntry, seq int, occ []trace.Occurrence, keys []occKeyStrings) []occEntry {
-	for i, o := range occ {
-		if len(dst) >= trace.OccCap {
-			break
-		}
-		dst = append(dst, occEntry{seq: seq, occ: o, stackKey: g.internKey(keys[i].stack), fullKey: g.internKey(keys[i].full)})
-	}
-	return dst
 }

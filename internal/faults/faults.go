@@ -271,9 +271,6 @@ func (s *Space) Index(id ID) (int, bool) {
 // IDAt returns the fault ID at dense index i.
 func (s *Space) IDAt(i int) ID { return s.Points[i].ID }
 
-// PointAt returns the point at dense index i.
-func (s *Space) PointAt(i int) Point { return s.Points[i] }
-
 // Class returns the fault class of id, defaulting to exception when the
 // point is unknown (conservative for edge typing).
 func (s *Space) Class(id ID) FaultClass {

@@ -65,14 +65,6 @@ type Config struct {
 	// total. Results are independent of the pool (and of contention on
 	// it); see TokenPool.
 	Pool *TokenPool
-	// NoPrefixShare disables fork-at-injection prefix sharing: every
-	// injected run simulates from scratch. Results are byte-identical
-	// either way; the flag is an escape hatch and the benchmark baseline.
-	NoPrefixShare bool
-	// CheckpointBytes bounds the retained prefix-checkpoint cache; the
-	// least recently used probe sets are evicted past it (evicted forks
-	// fall back to from-scratch runs). Zero means the default (64 MiB).
-	CheckpointBytes int64
 }
 
 // DefaultConfig returns the paper's execution parameters.
@@ -98,9 +90,6 @@ func (c *Config) defaults() {
 	if c.Parallelism < 1 {
 		c.Parallelism = 1
 	}
-	if c.CheckpointBytes == 0 {
-		c.CheckpointBytes = 64 << 20
-	}
 }
 
 // Observer receives driver-level progress events. The driver serializes
@@ -121,13 +110,9 @@ type Observer interface {
 }
 
 // profileEntry caches one workload's profile run set and coverage map.
-// The once gate means concurrent lookups compute the set exactly once;
-// done flips (with release semantics) after the set is complete, so the
-// prefix layer -- which must never *trigger* a build while holding a
-// worker slot -- can read the cached runs without blocking on the gate.
+// The once gate means concurrent lookups compute the set exactly once.
 type profileEntry struct {
 	once sync.Once
-	done atomic.Bool
 	set  *trace.Set
 	cov  map[faults.ID]bool
 }
@@ -152,20 +137,11 @@ type Driver struct {
 	// campaign's steady state allocates no new trace state per run.
 	pool *trace.Pool
 
-	// mu guards the edge graph and the profiles/prefixes maps (the
-	// entries gate themselves via sync.Once).
+	// mu guards the edge graph and the profiles map (the entries gate
+	// themselves via sync.Once).
 	mu       sync.Mutex
 	profiles map[string]*profileEntry
 
-	// prefixes holds the per-(workload, seed) prefix-sharing entries;
-	// ckc is the byte-bounded checkpoint cache behind them, and noCkpt
-	// marks workloads whose system never sets RunContext.Ckpt (see
-	// prefix.go).
-	prefixes map[ckKey]*prefixEntry
-	ckc      *ckptCache
-	noCkpt   map[string]bool
-
-	pfRuns, pfHits, pfClones, pfMisses atomic.Int64
 	// g accumulates the interned causal graph: static ICFG/CFG loop edges
 	// are pre-inserted at construction (they order after every dynamic
 	// edge when materialized), dynamic edges insert as FCA discovers them
@@ -190,9 +166,6 @@ func New(sys sysreg.System, space *faults.Space, cfg Config) *Driver {
 		ctx:       context.Background(),
 		workloads: make(map[string]sysreg.Workload),
 		profiles:  make(map[string]*profileEntry),
-		prefixes:  make(map[ckKey]*prefixEntry),
-		ckc:       newCkptCache(cfg.CheckpointBytes),
-		noCkpt:    make(map[string]bool),
 		g:         graph.New(),
 		pool:      trace.NewPool(space),
 	}
@@ -232,6 +205,17 @@ func (d *Driver) Workloads() []string { return append([]string(nil), d.order...)
 
 // SimCount returns the number of simulated executions performed so far.
 func (d *Driver) SimCount() int { return int(d.sims.Load()) }
+
+// CheckpointStats is always zero: bench/traced.go still links it, and the
+// next benchmark PR removes it, CheckpointStats() and the four
+// harness.prefix_* rows together.
+type CheckpointStats struct{ Hits, Clones, Misses int64 }
+
+// Avoided returns Hits + Clones.
+func (s CheckpointStats) Avoided() int64 { return s.Hits + s.Clones }
+
+// CheckpointStats returns the zero value (see the type).
+func (d *Driver) CheckpointStats() CheckpointStats { return CheckpointStats{} }
 
 // cancelled reports whether the bound context is done.
 func (d *Driver) cancelled() bool { return d.ctx.Err() != nil }
@@ -335,16 +319,6 @@ func (d *Driver) runOnce(w sysreg.Workload, plan inject.Plan, seed int64, record
 	if d.cancelled() {
 		return nil
 	}
-	if record && plan.Kind != inject.None && !d.cfg.NoPrefixShare {
-		// Injected runs reuse their (workload, seed) profile prefix: clone
-		// it outright when the target is never covered, fork from the last
-		// checkpoint below the divergence time otherwise. Both paths are
-		// byte-identical to the scratch run below; a miss falls through.
-		if rec, ok := d.forkOnce(w, plan, seed); ok {
-			return rec
-		}
-		d.pfMisses.Add(1)
-	}
 	var rec *trace.Run
 	if record {
 		rec = d.pool.Get(w.Name, seed)
@@ -427,7 +401,6 @@ func (d *Driver) profile(test string) *profileEntry {
 		w := d.workloads[test]
 		e.set = d.runSet(w, inject.Profile(), saltOf(test, ""))
 		e.cov = e.set.Coverage()
-		e.done.Store(true)
 		d.emitProfile(test, len(e.set.Runs))
 	})
 	return e
@@ -609,11 +582,9 @@ func (d *Driver) executeShard(f faults.ID, test string) *waveResult {
 	// Every injection plan runs at the workload's *profile* seeds (the
 	// same salt the profile cache uses): each injected run is then an
 	// exact counterfactual twin of a cached profile run -- same workload,
-	// same seed, only the fault differs -- which both sharpens FCA's
-	// profile-vs-injection diff and is the precondition for prefix
-	// sharing (an injected run is byte-identical to its profile twin up
-	// to the injection's first reach time, so it can fork from a profile
-	// checkpoint instead of re-simulating the warm-up).
+	// same seed, only the fault differs -- which sharpens FCA's
+	// profile-vs-injection diff: whatever the two runs disagree on, the
+	// injection caused.
 	var plans []inject.Plan
 	var seeds [][]int64
 	if pt.Kind == faults.Loop {
@@ -744,11 +715,12 @@ func (d *Driver) Edges() []fca.Edge {
 
 // seedPoolSize is the per-workload seed pool width as a multiple of
 // cfg.Reps. All plans of a workload draw their rep seeds from one pool
-// of seedPoolSize*Reps seeds (rotated by fault and magnitude), so many
-// injected runs share each (workload, seed) pair -- the precondition
-// for prefix sharing -- while each experiment still sees a
-// fault-and-magnitude-dependent seed subset (detection quality degrades
-// measurably when all experiments are forced onto one shared subset).
+// of seedPoolSize*Reps seeds (rotated by fault and magnitude), under the
+// workload's profile salt: injected runs are counterfactual seed twins
+// of profile-family runs (see executeShard), while each experiment still
+// sees a fault-and-magnitude-dependent seed subset (detection quality
+// degrades measurably when all experiments are forced onto one shared
+// subset).
 const seedPoolSize = 6
 
 // planSeeds returns the cfg.Reps run seeds for one plan of the (test,

@@ -83,17 +83,6 @@ func (d *Driver) Release() {
 		}
 		e.set.Runs = nil
 	}
-
-	// Tear down the prefix-sharing layer too: close every live prefix
-	// engine and release its probe footprint.
-	d.mu.Lock()
-	prefixes := d.prefixes
-	d.prefixes = make(map[ckKey]*prefixEntry)
-	d.mu.Unlock()
-	for _, pe := range prefixes {
-		pe.drop(d)
-	}
-	d.ckc.reset()
 }
 
 // ProfileRunsHeld counts the pooled trace runs currently retained by the

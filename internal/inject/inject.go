@@ -157,14 +157,14 @@ func (rt *Runtime) Guard(p *sim.Proc, id faults.ID, cond bool) bool {
 		// condition is absent.
 		switch {
 		case injected:
-			rt.Rec.Cover(id, p.Now())
+			rt.Rec.Cover(id)
 			rt.Rec.InjFired = true
 			rt.Rec.InjSite = rt.capture(p)
 		case cond:
 			// Fused Cover+Activate: one dense lookup on the hot path.
-			rt.Rec.CoverActivate(id, p.Now(), rt.capture(p))
+			rt.Rec.CoverActivate(id, rt.capture(p))
 		default:
-			rt.Rec.Cover(id, p.Now())
+			rt.Rec.Cover(id)
 		}
 	}
 	return cond || injected
@@ -194,9 +194,9 @@ func (rt *Runtime) Negate(p *sim.Proc, id faults.ID, v, errVal bool) bool {
 			// The detector observed the error on its own: a natural
 			// activation even under injection (which would mask it).
 			// Fused Cover+Activate: one dense lookup on the hot path.
-			rt.Rec.CoverActivate(id, p.Now(), rt.capture(p))
+			rt.Rec.CoverActivate(id, rt.capture(p))
 		} else {
-			rt.Rec.Cover(id, p.Now())
+			rt.Rec.Cover(id)
 		}
 		if injected && !rt.negFired {
 			rt.negFired = true
@@ -216,7 +216,7 @@ func (rt *Runtime) Loop(p *sim.Proc, id faults.ID) {
 		// Fused Cover+LoopIter (one dense lookup per iteration); the
 		// calling-context capture -- an interned-stack read plus a second
 		// lookup -- happens only on the first iteration of each loop.
-		if rt.Rec.LoopTick(id, p.Now()) {
+		if rt.Rec.LoopTick(id) {
 			rt.Rec.SeeLoop(id, trace.Occurrence{Stack: p.Stack()})
 		}
 		p.ResetLocalBranches()
@@ -236,7 +236,7 @@ func (rt *Runtime) Loop(p *sim.Proc, id faults.ID) {
 //	if env.Branch(p, "dfs.createTmp.last_found", current == last) { ... }
 func (rt *Runtime) Branch(p *sim.Proc, id faults.ID, cond bool) bool {
 	if rt.Rec != nil {
-		rt.Rec.Cover(id, p.Now())
+		rt.Rec.Cover(id)
 		p.RecordBranch(string(id), cond)
 	}
 	return cond

@@ -251,13 +251,9 @@ func Table4(art *CampaignArtifacts) Table4Row {
 		return 1
 	}
 	limited := &csnake.Report{System: rep.System, Space: rep.Space, Alloc: rep.Alloc, Graph: rep.Graph, Edges: rep.Edges}
-	if rep.Graph != nil {
-		// Reuse the campaign's interned graph: the one-delay variant
-		// re-searches the same index instead of re-keying the edge slice.
-		limited.Cycles = beam.SearchGraph(rep.Graph, scoreOf, opt)
-	} else {
-		limited.Cycles = beam.Search(rep.Edges, scoreOf, opt)
-	}
+	// Reuse the campaign's interned graph: the one-delay variant
+	// re-searches the same index instead of re-keying the edge slice.
+	limited.Cycles = beam.SearchGraph(rep.Graph, scoreOf, opt)
 	limited.CycleClusters = beam.ClusterCycles(limited.Cycles, func(f faults.ID) (int, bool) {
 		if rep.Alloc == nil {
 			return 0, false

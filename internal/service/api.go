@@ -58,10 +58,6 @@ type CampaignSpec struct {
 	WaveSize int `json:"waveSize,omitempty"`
 	// Protocol is "3pa" (default), "random", or "adaptive".
 	Protocol string `json:"protocol,omitempty"`
-	// NoPrefixShare disables fork-at-injection prefix sharing for this
-	// job (results are byte-identical either way; the flag trades the
-	// checkpoint cache's memory for re-simulated run prefixes).
-	NoPrefixShare bool `json:"noPrefixShare,omitempty"`
 	// Priority orders queued jobs (higher first; equal priorities run in
 	// submission order).
 	Priority int `json:"priority,omitempty"`
@@ -123,9 +119,6 @@ func (s *CampaignSpec) Resolve() (sysreg.System, []csnake.Option, error) {
 		opts = append(opts, csnake.WithProtocol(csnake.ProtocolAdaptive))
 	default:
 		return nil, nil, fmt.Errorf("unknown protocol %q (want 3pa, random, or adaptive)", s.Protocol)
-	}
-	if s.NoPrefixShare {
-		opts = append(opts, csnake.WithPrefixSharing(false))
 	}
 	if s.Anytime {
 		opts = append(opts, csnake.WithAnytime())

@@ -289,6 +289,8 @@ func TestServiceHTTPErrors(t *testing.T) {
 
 	check("POST", "/v1/campaigns", `{"system":"no-such-system"}`, http.StatusBadRequest)
 	check("POST", "/v1/campaigns", `{"system":"svc-tiny","bogusField":1}`, http.StatusBadRequest)
+	// A removed spec field is an unknown field like any other.
+	check("POST", "/v1/campaigns", `{"system":"svc-tiny","`+removedSpecField+`":true}`, http.StatusBadRequest)
 	check("GET", "/v1/campaigns/job-404", "", http.StatusNotFound)
 	check("DELETE", "/v1/campaigns/job-404", "", http.StatusNotFound)
 	check("GET", "/v1/campaigns/job-404/events", "", http.StatusNotFound)

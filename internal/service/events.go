@@ -7,8 +7,6 @@
 
 package service
 
-import "repro/internal/report"
-
 // subscriber is one event stream consumer. dropped counts rounds lost
 // to a full buffer since the last delivered event; it is folded into
 // the next event that does fit, so consumers can detect gaps.
@@ -119,15 +117,4 @@ func (m *Manager) unsubscribe(j *Job, sub *subscriber) {
 			return
 		}
 	}
-}
-
-// RoundsOf returns a copy of the rounds recorded for a job so far.
-func (m *Manager) RoundsOf(id string) ([]report.JSONRound, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return nil, errUnknownJob(id)
-	}
-	return append([]report.JSONRound(nil), j.rounds...), nil
 }

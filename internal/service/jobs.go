@@ -188,7 +188,6 @@ type Manager struct {
 	// lifetime counters for /metrics
 	simsTotal         int64
 	roundsTotal       int64
-	prefix            harness.CheckpointStats // summed over finished jobs
 	succeeded         int
 	failed            int
 	cancelled         int
@@ -535,11 +534,6 @@ func (m *Manager) finish(j *Job, rep *csnake.Report, driver *harness.Driver, err
 	if driver != nil {
 		j.sims = driver.SimCount()
 		m.simsTotal += int64(driver.SimCount())
-		st := driver.CheckpointStats()
-		m.prefix.PrefixRuns += st.PrefixRuns
-		m.prefix.Hits += st.Hits
-		m.prefix.Clones += st.Clones
-		m.prefix.Misses += st.Misses
 	}
 
 	// Classify the attempt's outcome.

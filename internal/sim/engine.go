@@ -74,9 +74,8 @@ type Options struct {
 	// MaxEvents bounds the cumulative number of processed events over the
 	// engine's lifetime as a defence against livelock. The bound is
 	// cumulative rather than per Run call so that a run executed in
-	// segments -- or forked mid-way from a checkpoint -- exhausts the
-	// budget at exactly the same event as a single straight Run. Zero
-	// means the default (4 million).
+	// segments exhausts the budget at exactly the same event as a single
+	// straight Run. Zero means the default (4 million).
 	MaxEvents int
 	// Latency overrides the default message latency model. When nil, a
 	// fixed DefaultLatency plus uniform Jitter is used.
@@ -89,13 +88,6 @@ type Options struct {
 	// take exactly DefaultLatency and the default latency model never
 	// touches the RNG, which keeps the RNG stream free for workload use.
 	Jitter time.Duration
-	// Checkpointing enables Engine.Checkpoint by keeping a registry of
-	// every mailbox created on the engine. The registry pins reply
-	// mailboxes from completed Calls for the engine's lifetime, so the
-	// flag is off by default and the harness enables it only for profile
-	// runs whose prefixes are worth capturing. Tracking has no observable
-	// effect on a run's schedule, RNG stream, or ids.
-	Checkpointing bool
 }
 
 type eventKind uint8
@@ -204,7 +196,6 @@ type Engine struct {
 	now    time.Duration
 	seq    uint64
 	events eventQueue
-	src    *Source // two-word copyable RNG state behind rng
 	rng    *rand.Rand
 
 	procs    []*Proc
@@ -234,12 +225,6 @@ type Engine struct {
 	fail      *procPanic
 
 	nextMailboxID int
-	// mailboxes registers every mailbox created on this engine, in
-	// creation order, so checkpoints can capture queue contents and remap
-	// them by id on restore. Populated only under Options.Checkpointing,
-	// since the registry pins reply mailboxes for the engine's lifetime.
-	mailboxes     []*Mailbox
-	checkpointing bool
 }
 
 // procPanic carries a user panic from a process goroutine back to the
@@ -265,13 +250,10 @@ func NewEngine(opts Options) *Engine {
 	if opts.Jitter == 0 {
 		opts.Jitter = 200 * time.Microsecond
 	}
-	src := NewSource(opts.Seed)
 	e := &Engine{
-		src:           src,
-		rng:           rand.New(src),
-		parked:        make(chan struct{}),
-		maxEvents:     opts.MaxEvents,
-		checkpointing: opts.Checkpointing,
+		rng:       rand.New(NewSource(opts.Seed)),
+		parked:    make(chan struct{}),
+		maxEvents: opts.MaxEvents,
 	}
 	if opts.Latency != nil {
 		e.latency = opts.Latency
@@ -371,9 +353,8 @@ func (e *Engine) Run(horizon time.Duration) RunResult {
 	processed := 0
 	for e.events.len() > 0 {
 		// The event budget is cumulative across Run calls: a run executed
-		// in segments (checkpoint probing) or resumed from a checkpoint
-		// (executed is restored) hits the budget at exactly the same event
-		// as the same run executed in one Run call.
+		// in segments hits the budget at exactly the same event as the
+		// same run executed in one Run call.
 		if e.executed+processed >= e.maxEvents {
 			e.executed += processed
 			return RunResult{Reason: StopEventBudget, Now: e.now, Events: processed}
@@ -492,9 +473,6 @@ func (e *Engine) SetPartition(a, b string, blocked bool) {
 		delete(e.partitions, partKey(a, b))
 	}
 }
-
-// Partitioned reports whether messages between a and b are being dropped.
-func (e *Engine) Partitioned(a, b string) bool { return e.partitions[partKey(a, b)] }
 
 // PauseNode holds all message deliveries to the node until ResumeNode.
 // Paused nodes keep their local timers; only the network is frozen, which

@@ -26,11 +26,7 @@ type Mailbox struct {
 // mailbox are subject to the node's partitions, pauses, and crashes.
 func (e *Engine) NewMailbox(node, name string) *Mailbox {
 	e.nextMailboxID++
-	mb := &Mailbox{eng: e, id: e.nextMailboxID, node: node, name: name}
-	if e.checkpointing {
-		e.mailboxes = append(e.mailboxes, mb)
-	}
-	return mb
+	return &Mailbox{eng: e, id: e.nextMailboxID, node: node, name: name}
 }
 
 // Node returns the hosting node.

@@ -38,14 +38,6 @@ type Proc struct {
 	killed  bool
 	wakeGen uint64
 
-	// parkTag names the declarative park site while the process is blocked
-	// in SleepQ or RecvQ, and is empty whenever the process is running or
-	// blocked in a non-checkpointable operation (plain Sleep/Recv/Call).
-	// Checkpoints are only valid when every runnable process carries a
-	// non-empty parkTag: the tag is how a Checkpointable system knows which
-	// rotated loop body to adopt for the process on restore.
-	parkTag string
-
 	// frames is the explicit call stack maintained by Enter/exit. The
 	// injection layer reads it to capture 2-level calling context and the
 	// per-frame local branch traces used by the compatibility check.
@@ -153,63 +145,25 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.yield()
 }
 
-// ParkTag returns the declarative park-site tag if the process is parked
-// in SleepQ or RecvQ, and "" otherwise.
-func (p *Proc) ParkTag() string { return p.parkTag }
-
-// SleepQ is Sleep at a declared quiescent park site: while parked the
-// process carries tag, making it adoptable by Engine.Checkpoint. Loop
-// bodies that park in SleepQ must be written work-first (work, then
-// SleepQ at the bottom of the loop) so that a restored body entered from
-// the top at the wake instant continues exactly like the original.
-//
-// SleepQ clears the innermost frame's local branch accumulator before
-// parking: a restored body starts with an empty accumulator, so clearing
-// it here keeps from-scratch and forked continuations byte-identical.
-// The clear happens in every run (forked or not), so it never introduces
-// divergence between the two.
-func (p *Proc) SleepQ(d time.Duration, tag string) {
-	if p.killed {
-		panic(errKilled)
+// SleepQ is Sleep from the idle point of a process loop: it clears the
+// innermost frame's local branch accumulator before parking, so branch
+// evaluations from before the park never reach the occurrence states
+// captured after the wake.
+func (p *Proc) SleepQ(d time.Duration) {
+	if d > 0 {
+		p.ResetLocalBranches()
 	}
-	if d <= 0 {
-		return
-	}
-	p.ResetLocalBranches()
-	p.parkTag = tag
-	p.wakeGen++
-	p.eng.schedule(p.eng.now+d, evWake, p, p.wakeGen, nil)
-	p.yield()
-	p.parkTag = ""
+	p.Sleep(d)
 }
 
-// RecvQ is an infinite-timeout Recv at a declared quiescent park site:
-// while parked the process carries tag and is adoptable by
-// Engine.Checkpoint. Only the infinite-timeout form is checkpointable --
-// a finite Recv deadline would have to be recomputed on restore, which a
-// freshly entered body cannot do faithfully. Like SleepQ it clears the
-// innermost frame's branch accumulator on entry (on the immediate-pop
-// path too, so the clear point does not depend on queue occupancy).
-func (p *Proc) RecvQ(mb *Mailbox, tag string) interface{} {
-	if p.killed {
-		panic(errKilled)
-	}
+// RecvQ is an infinite-timeout Recv from the idle point of a process
+// loop. Like SleepQ it clears the innermost frame's branch accumulator on
+// entry (on the immediate-pop path too, so the clear point does not
+// depend on queue occupancy).
+func (p *Proc) RecvQ(mb *Mailbox) interface{} {
 	p.ResetLocalBranches()
-	if mb.Len() > 0 {
-		return mb.pop()
-	}
-	p.parkTag = tag
-	for {
-		mb.waiters = append(mb.waiters, p)
-		p.block(-1)
-		if mb.Len() > 0 {
-			mb.removeWaiter(p)
-			p.parkTag = ""
-			return mb.pop()
-		}
-		// Spurious wake (message consumed by another pool worker).
-		mb.removeWaiter(p)
-	}
+	m, _ := p.Recv(mb, -1)
+	return m
 }
 
 // Work models CPU-bound work of duration d. It is semantically identical

@@ -1,17 +1,13 @@
-// The engine RNG source. math/rand's default source hides 607 words of
-// state behind an interface, which makes engine state impossible to
-// capture for checkpointing. Source is a splitmix-style generator whose
-// entire state is two uint64 words, so a checkpoint copies it by value
-// and a restored engine continues the exact stream the original would
-// have produced.
+// The engine RNG source: a two-word splitmix-style generator. Every
+// seeded schedule, and so every campaign report, is a function of this
+// stream; changing the generator moves all of them.
 
 package sim
 
-// Source is a copyable pseudo-random source implementing
+// Source is a pseudo-random source implementing
 // math/rand.Source64. It is splitmix-style: a Weyl sequence (state +=
 // gamma) finalised by a 64-bit avalanche mix. The whole generator state
-// is the two words {state, gamma}, so a plain struct copy yields an
-// independent generator that continues the identical stream.
+// is the two words {state, gamma}.
 //
 // The gamma increment is derived from the seed (forced odd so the Weyl
 // sequence has full period 2^64), which decorrelates nearby seeds: the
@@ -59,23 +55,3 @@ func (s *Source) Uint64() uint64 {
 
 // Int63 returns a non-negative 63-bit value, satisfying math/rand.Source.
 func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// SourceState is the complete captured state of a Source.
-type SourceState struct {
-	State uint64
-	Gamma uint64
-}
-
-// Snapshot returns the current two-word state.
-func (s *Source) Snapshot() SourceState { return SourceState{State: s.state, Gamma: s.gamma} }
-
-// Restore overwrites the source state with a previously captured
-// snapshot; the source then continues the stream from that point.
-func (s *Source) Restore(st SourceState) { s.state, s.gamma = st.State, st.Gamma }
-
-// Clone returns an independent copy that will produce the identical
-// remaining stream.
-func (s *Source) Clone() *Source {
-	c := *s
-	return &c
-}

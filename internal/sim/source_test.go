@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The engine hands Source to math/rand; the checkpoint layer depends on
-// the Source64 fast path (no hidden Rand state feeding Int63n).
+// The engine hands Source to math/rand, which draws through the Source64
+// fast path: the seeded streams every report depends on assume it.
 var _ rand.Source64 = (*Source)(nil)
 
 func TestSourceDeterminismPerSeed(t *testing.T) {
@@ -41,43 +41,6 @@ func TestSourceSeedResets(t *testing.T) {
 	for i := range first {
 		if v := s.Uint64(); v != first[i] {
 			t.Fatalf("Seed did not reset: draw %d = %x, want %x", i, v, first[i])
-		}
-	}
-}
-
-func TestSourceCopyIndependence(t *testing.T) {
-	orig := NewSource(1234)
-	for i := 0; i < 100; i++ {
-		orig.Uint64() // advance mid-stream
-	}
-	cp := orig.Clone()
-	// The copy must continue the identical stream...
-	want := make([]uint64, 200)
-	for i := range want {
-		want[i] = orig.Uint64()
-	}
-	// ...and advancing the original must not have perturbed the copy.
-	for i := range want {
-		if v := cp.Uint64(); v != want[i] {
-			t.Fatalf("clone stream diverged at %d", i)
-		}
-	}
-}
-
-func TestSourceSnapshotRestore(t *testing.T) {
-	s := NewSource(5)
-	for i := 0; i < 37; i++ {
-		s.Uint64()
-	}
-	st := s.Snapshot()
-	want := make([]uint64, 64)
-	for i := range want {
-		want[i] = s.Uint64()
-	}
-	s.Restore(st)
-	for i := range want {
-		if v := s.Uint64(); v != want[i] {
-			t.Fatalf("restored stream diverged at %d", i)
 		}
 	}
 }

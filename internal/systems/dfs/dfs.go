@@ -154,6 +154,3 @@ func NewCluster(ctx *sysreg.RunContext, cfg Config) *Cluster {
 
 // DN returns the i-th DataNode's name.
 func (c *Cluster) DN(i int) string { return c.dns[i].node }
-
-// NameNodeRPC exposes the NN data-RPC mailbox (used by clients).
-func (c *Cluster) NameNodeRPC() *sim.Mailbox { return c.nn.rpc }

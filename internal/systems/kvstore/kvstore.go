@@ -124,9 +124,7 @@ const (
 	assignRetryGap  = 500 * time.Millisecond
 )
 
-// Cluster is one simulated HBase deployment. It implements
-// sysreg.Checkpointable: long-lived processes park only at tagged
-// SleepQ/RecvQ sites and all mutable state lives in struct fields.
+// Cluster is one simulated HBase deployment.
 type Cluster struct {
 	cfg Config
 	eng *sim.Engine
@@ -134,9 +132,6 @@ type Cluster struct {
 
 	master *master
 	rss    []*regionServer
-
-	clients  []*loadClient
-	creators []*tableCreator
 }
 
 // NewCluster builds and starts the cluster.
@@ -173,8 +168,6 @@ type master struct {
 	pending   []assignment
 	pendSig   *sim.Mailbox
 	balanceOK bool
-
-	assignProc, balancerProc, rpcProc *sim.Proc
 }
 
 func newMaster(c *Cluster) *master {
@@ -197,9 +190,9 @@ func (m *master) bootstrapRegions() {
 }
 
 func (m *master) start() {
-	m.assignProc = m.c.eng.Spawn(m.node, "assignmentManager", m.assignmentManager)
-	m.balancerProc = m.c.eng.Spawn(m.node, "balancer", func(p *sim.Proc) { m.balancerLoop(p, false) })
-	m.rpcProc = m.c.eng.Spawn(m.node, "rpcHandler", m.rpcHandler)
+	m.c.eng.Spawn(m.node, "assignmentManager", m.assignmentManager)
+	m.c.eng.Spawn(m.node, "balancer", m.balancerLoop)
+	m.c.eng.Spawn(m.node, "rpcHandler", m.rpcHandler)
 }
 
 func (m *master) enqueue(p *sim.Proc, a assignment) {
@@ -214,7 +207,7 @@ func (m *master) assignmentManager(p *sim.Proc) {
 	defer p.Enter("assignmentManager")()
 	rt := m.c.rt
 	for {
-		p.RecvQ(m.pendSig, "hb.assign.signal")
+		p.RecvQ(m.pendSig)
 		// Each drain is a batched deployment with one overall deadline:
 		// a slow sub-deployment times out the whole batch, the batched-
 		// RPC pattern of §4.3.
@@ -293,16 +286,11 @@ func (m *master) pickServer(p *sim.Proc, a assignment) string {
 }
 
 // balancerLoop periodically rebalances regions; each move is a deployment.
-// adopted skips the leading park exactly once: a restored body enters at
-// the wake instant, where the original had just finished the same sleep.
-func (m *master) balancerLoop(p *sim.Proc, adopted bool) {
+func (m *master) balancerLoop(p *sim.Proc) {
 	defer p.Enter("runBalancer")()
 	rt := m.c.rt
 	for {
-		if !adopted {
-			p.SleepQ(balanceEvery+time.Duration(p.Rand().Intn(50))*time.Millisecond, "hb.balancer")
-		}
-		adopted = false
+		p.SleepQ(balanceEvery + time.Duration(p.Rand().Intn(50))*time.Millisecond)
 		counts := map[string]int{}
 		for _, owner := range m.regions {
 			counts[owner]++
@@ -349,7 +337,7 @@ func (m *master) rpcHandler(p *sim.Proc) {
 	defer p.Enter("masterRPC")()
 	rt := m.c.rt
 	for {
-		msg := p.RecvQ(m.rpc, "hb.master.rpc")
+		msg := p.RecvQ(m.rpc)
 		req := msg.(sim.Req)
 		switch body := req.Body.(type) {
 		case createTableMsg:
@@ -384,9 +372,6 @@ type regionServer struct {
 	replayed   int           // replay reader's high-water mark
 	regions    map[string]bool
 	walMu      *sim.Mutex
-
-	handlerProcs                    []*sim.Proc
-	syncProc, flushProc, replayProc *sim.Proc
 }
 
 func newRegionServer(c *Cluster, idx int) *regionServer {
@@ -402,19 +387,19 @@ func newRegionServer(c *Cluster, idx int) *regionServer {
 
 func (rs *regionServer) start() {
 	for i := 0; i < 2; i++ {
-		rs.handlerProcs = append(rs.handlerProcs, rs.c.eng.Spawn(rs.node, "handler", rs.handlerLoop))
+		rs.c.eng.Spawn(rs.node, "handler", rs.handlerLoop)
 	}
-	rs.syncProc = rs.c.eng.Spawn(rs.node, "walSync", func(p *sim.Proc) { rs.walSyncLoop(p, false) })
-	rs.flushProc = rs.c.eng.Spawn(rs.node, "memstoreFlush", func(p *sim.Proc) { rs.flushLoop(p, false) })
+	rs.c.eng.Spawn(rs.node, "walSync", rs.walSyncLoop)
+	rs.c.eng.Spawn(rs.node, "memstoreFlush", rs.flushLoop)
 	if rs.c.cfg.Replay {
-		rs.replayProc = rs.c.eng.Spawn(rs.node, "walReplay", rs.walReplay)
+		rs.c.eng.Spawn(rs.node, "walReplay", rs.walReplay)
 	}
 }
 
 func (rs *regionServer) handlerLoop(p *sim.Proc) {
 	rt := rs.c.rt
 	for {
-		msg := p.RecvQ(rs.rpc, "hb.rs.rpc")
+		msg := p.RecvQ(rs.rpc)
 		req := msg.(sim.Req)
 		switch body := req.Body.(type) {
 		case openRegionMsg:
@@ -453,14 +438,11 @@ func (rs *regionServer) handlerLoop(p *sim.Proc) {
 // walSyncLoop flushes appended WAL entries to stable storage; a lagging
 // sync leaves the on-disk WAL without its trailer, which the replay reader
 // observes as a premature end-of-file.
-func (rs *regionServer) walSyncLoop(p *sim.Proc, adopted bool) {
+func (rs *regionServer) walSyncLoop(p *sim.Proc) {
 	defer p.Enter("walSync")()
 	rt := rs.c.rt
 	for {
-		if !adopted {
-			p.SleepQ(walSyncEvery+time.Duration(p.Rand().Intn(30))*time.Millisecond, "hb.walSync")
-		}
-		adopted = false
+		p.SleepQ(walSyncEvery + time.Duration(p.Rand().Intn(30))*time.Millisecond)
 		if rs.walPending == 0 {
 			rs.lastSync = p.Now()
 			continue
@@ -486,9 +468,6 @@ func (rs *regionServer) walSyncLoop(p *sim.Proc, adopted bool) {
 // walReplay models a WAL split/replay reader (e.g. during region moves):
 // it repeatedly reads the WAL tail; an incomplete file (missing trailer)
 // is retried after a pause, without bound -- the HBASE-1 feedback loop.
-// Both of its park sites sit at the bottom of the loop, so an adopted
-// body re-entered from the top continues exactly like the original
-// regardless of which site it was captured at.
 func (rs *regionServer) walReplay(p *sim.Proc) {
 	defer p.Enter("walReplay")()
 	rt := rs.c.rt
@@ -510,25 +489,22 @@ func (rs *regionServer) walReplay(p *sim.Proc) {
 			// PrematureEndOfFile: retry from scratch shortly, without
 			// bound -- the HBASE-1 feedback (each retry holds the WAL
 			// lock, making the sync lag it is waiting out even worse).
-			p.SleepQ(replayRetryGap, "hb.replay.retry")
+			p.SleepQ(replayRetryGap)
 			continue
 		}
 		if synced > rs.replayed {
 			rs.replayed = synced
 		}
-		p.SleepQ(replayScanEvery, "hb.replay.scan")
+		p.SleepQ(replayScanEvery)
 	}
 }
 
 // flushLoop drains memstores periodically (background disk load).
-func (rs *regionServer) flushLoop(p *sim.Proc, adopted bool) {
+func (rs *regionServer) flushLoop(p *sim.Proc) {
 	defer p.Enter("memstoreFlush")()
 	rt := rs.c.rt
 	for {
-		if !adopted {
-			p.SleepQ(flushEvery+time.Duration(p.Rand().Intn(40))*time.Millisecond, "hb.flush")
-		}
-		adopted = false
+		p.SleepQ(flushEvery + time.Duration(p.Rand().Intn(40))*time.Millisecond)
 		if len(rs.regions) == 0 && rs.walSynced == 0 {
 			continue
 		}
@@ -550,18 +526,13 @@ func (c *Cluster) rsByName(name string) *regionServer {
 
 // --- clients ---
 
-// loadClient is one put-driving client. Progress lives in done so a
-// checkpoint snapshot can rebuild the client mid-stream; its only park
-// site is the loop-last gap sleep (in-flight Call windows are untagged
-// and simply make that instant uncapturable).
+// loadClient is one put-driving client.
 type loadClient struct {
 	c          *Cluster
-	name       string
 	ops, batch int
 	gap        time.Duration
 
 	done int // completed puts (their gap may still be pending)
-	proc *sim.Proc
 }
 
 func (cl *loadClient) run(p *sim.Proc) {
@@ -583,7 +554,7 @@ func (cl *loadClient) run(p *sim.Proc) {
 		}
 		rt.Guard(p, PtClientIOE, failures >= 2)
 		cl.done++
-		p.SleepQ(cl.gap+time.Duration(p.Rand().Intn(40))*time.Millisecond, "hb.client.gap")
+		p.SleepQ(cl.gap + time.Duration(p.Rand().Intn(40))*time.Millisecond)
 	}
 }
 
@@ -592,9 +563,8 @@ func (c *Cluster) SpawnLoadClient(name string, ops, batch int, gap time.Duration
 	if gap == 0 {
 		gap = 150 * time.Millisecond
 	}
-	cl := &loadClient{c: c, name: name, ops: ops, batch: batch, gap: gap}
-	cl.proc = c.eng.Spawn("client-"+name, name, cl.run)
-	c.clients = append(c.clients, cl)
+	cl := &loadClient{c: c, ops: ops, batch: batch, gap: gap}
+	c.eng.Spawn("client-"+name, name, cl.run)
 }
 
 // tableCreator issues table create/clone storms (the §8.3.1 t1
@@ -607,7 +577,6 @@ type tableCreator struct {
 	gap             time.Duration
 
 	done int
-	proc *sim.Proc
 }
 
 func (cl *tableCreator) run(p *sim.Proc) {
@@ -616,7 +585,7 @@ func (cl *tableCreator) run(p *sim.Proc) {
 	for cl.done < cl.tables {
 		p.Call(c.master.rpc, createTableMsg{name: fmt.Sprintf("%s-t%d", cl.name, cl.done), regions: cl.regions, clone: cl.clone}, 10*time.Second)
 		cl.done++
-		p.SleepQ(cl.gap+time.Duration(p.Rand().Intn(60))*time.Millisecond, "hb.create.gap")
+		p.SleepQ(cl.gap + time.Duration(p.Rand().Intn(60))*time.Millisecond)
 	}
 }
 
@@ -627,6 +596,5 @@ func (c *Cluster) SpawnTableCreator(name string, tables, regions int, clone bool
 		gap = 600 * time.Millisecond
 	}
 	cl := &tableCreator{c: c, name: name, tables: tables, regions: regions, clone: clone, gap: gap}
-	cl.proc = c.eng.Spawn("client-"+name, name, cl.run)
-	c.creators = append(c.creators, cl)
+	c.eng.Spawn("client-"+name, name, cl.run)
 }

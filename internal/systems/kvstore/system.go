@@ -27,7 +27,6 @@ func wl(name, desc string, horizon time.Duration, cfg Config, scenario func(c *C
 		Run: func(ctx *sysreg.RunContext) {
 			c := NewCluster(ctx, cfg)
 			scenario(c)
-			ctx.Ckpt = c
 		},
 	}
 }

@@ -139,21 +139,12 @@ const (
 	leader
 )
 
-// Cluster is one simulated MetaStore deployment. It implements
-// sysreg.Checkpointable: all mutable state lives in struct fields, every
-// long-lived process parks only at tagged SleepQ/RecvQ sites, and
-// clients/admins are structs whose progress counters are part of the
-// snapshot.
+// Cluster is one simulated MetaStore deployment.
 type Cluster struct {
 	cfg   Config
 	eng   *sim.Engine
 	rt    *inject.Runtime
 	nodes []*node
-
-	clients   []*proposer
-	transfers []*transferLoop
-	pausers   []*pauserLoop
-	crashers  []*crasher
 }
 
 // NewCluster builds and starts the cluster.
@@ -246,20 +237,6 @@ type node struct {
 	// replicationLoop after re-election.
 	next, match []int
 	leadEpoch   int
-
-	// Process handles and live replication-loop records, kept so a
-	// checkpoint snapshot can name every process to adopt on restore.
-	// replRuns can briefly hold several entries: a deposed leader's stale
-	// loop exits lazily at its next tick.
-	rpcProc, timerProc, applyProc, compactProc *sim.Proc
-	propProcs                                  []*sim.Proc
-	replRuns                                   []*replRun
-}
-
-// replRun records one live replicationLoop process with the term/epoch
-// pair its body closed over.
-type replRun struct {
-	pid, term, epoch int
 }
 
 func newNode(c *Cluster, idx int) *node {
@@ -277,36 +254,22 @@ func newNode(c *Cluster, idx int) *node {
 }
 
 func (n *node) start() {
-	n.rpcProc = n.c.eng.Spawn(n.name, "rpcHandler", n.rpcHandler)
-	n.timerProc = n.c.eng.Spawn(n.name, "electionTimer", func(p *sim.Proc) { n.electionTimer(p, false) })
-	n.applyProc = n.c.eng.Spawn(n.name, "applyLoop", func(p *sim.Proc) { n.applyLoop(p, false) })
+	n.c.eng.Spawn(n.name, "rpcHandler", n.rpcHandler)
+	n.c.eng.Spawn(n.name, "electionTimer", n.electionTimer)
+	n.c.eng.Spawn(n.name, "applyLoop", n.applyLoop)
 	for i := 0; i < 2; i++ {
-		n.propProcs = append(n.propProcs, n.c.eng.Spawn(n.name, "proposeHandler", n.proposeHandler))
+		n.c.eng.Spawn(n.name, "proposeHandler", n.proposeHandler)
 	}
 	if n.c.cfg.Compaction {
-		n.compactProc = n.c.eng.Spawn(n.name, "compactLoop", func(p *sim.Proc) { n.compactLoop(p, false) })
+		n.c.eng.Spawn(n.name, "compactLoop", n.compactLoop)
 	}
 }
 
-// spawnReplication starts a replicationLoop for (term, epoch) and tracks
-// it in replRuns until the loop exits.
+// spawnReplication starts a replicationLoop for (term, epoch).
 func (n *node) spawnReplication(term, epoch int) {
-	rr := &replRun{term: term, epoch: epoch}
-	pr := n.c.eng.Spawn(n.name, "replicationLoop", func(p *sim.Proc) {
-		defer n.dropRepl(rr)
-		n.replicationLoop(p, term, epoch, false)
+	n.c.eng.Spawn(n.name, "replicationLoop", func(p *sim.Proc) {
+		n.replicationLoop(p, term, epoch)
 	})
-	rr.pid = pr.PID()
-	n.replRuns = append(n.replRuns, rr)
-}
-
-func (n *node) dropRepl(rr *replRun) {
-	for i, x := range n.replRuns {
-		if x == rr {
-			n.replRuns = append(n.replRuns[:i], n.replRuns[i+1:]...)
-			return
-		}
-	}
 }
 
 func (n *node) stepDown() {
@@ -333,7 +296,7 @@ func (n *node) observeTerm(term int) {
 
 func (n *node) rpcHandler(p *sim.Proc) {
 	for {
-		m := p.RecvQ(n.rpc, "ms.rpc")
+		m := p.RecvQ(n.rpc)
 		switch msg := m.(type) {
 		case appendMsg:
 			n.handleAppend(p, msg)
@@ -533,18 +496,13 @@ func (n *node) startCampaign(p *sim.Proc) {
 
 // electionTimer is the follower-side failure detector: at every randomized
 // timeout tick it checks heartbeat freshness and campaigns when the leader
-// has gone silent. adopted skips the leading park exactly once: a restored
-// body enters at the wake instant, where the original had just finished
-// the same sleep.
-func (n *node) electionTimer(p *sim.Proc, adopted bool) {
+// has gone silent.
+func (n *node) electionTimer(p *sim.Proc) {
 	defer p.Enter("electionTimer")()
 	rt := n.c.rt
 	cfg := n.c.cfg
 	for {
-		if !adopted {
-			p.SleepQ(cfg.ElectionTimeout+time.Duration(p.Rand().Int63n(int64(cfg.ElectionJitter))), "ms.electionTimer")
-		}
-		adopted = false
+		p.SleepQ(cfg.ElectionTimeout + time.Duration(p.Rand().Int63n(int64(cfg.ElectionJitter))))
 		if n.state == leader {
 			continue
 		}
@@ -629,15 +587,12 @@ func (n *node) becomeLeader(p *sim.Proc) {
 // peers, and a plain heartbeat otherwise. Serializing all three on one
 // process is what turns any per-peer load into missed heartbeats for
 // everyone else.
-func (n *node) replicationLoop(p *sim.Proc, term, epoch int, adopted bool) {
+func (n *node) replicationLoop(p *sim.Proc, term, epoch int) {
 	defer p.Enter("replicationLoop")()
 	rt := n.c.rt
 	c := n.c
 	for {
-		if !adopted {
-			p.SleepQ(c.cfg.HeartbeatEvery+time.Duration(p.Rand().Int63n(int64(hbJitter))), "ms.replicationLoop")
-		}
-		adopted = false
+		p.SleepQ(c.cfg.HeartbeatEvery + time.Duration(p.Rand().Int63n(int64(hbJitter))))
 		if n.state != leader || n.term != term || n.leadEpoch != epoch {
 			return
 		}
@@ -705,14 +660,11 @@ func (n *node) sendSnapshot(p *sim.Proc, peer *node, term int) bool {
 // --- apply and compaction ---
 
 // applyLoop advances the state machine to the commit frontier.
-func (n *node) applyLoop(p *sim.Proc, adopted bool) {
+func (n *node) applyLoop(p *sim.Proc) {
 	defer p.Enter("applyLoop")()
 	rt := n.c.rt
 	for {
-		if !adopted {
-			p.SleepQ(applyEvery, "ms.applyLoop")
-		}
-		adopted = false
+		p.SleepQ(applyEvery)
 		for n.applied < n.commit {
 			rt.Loop(p, PtApplyLoop)
 			p.Work(applyCost)
@@ -724,15 +676,12 @@ func (n *node) applyLoop(p *sim.Proc, adopted bool) {
 // compactLoop trims the log CompactKeep entries behind the apply frontier.
 // Compaction is what turns a long-lagging follower's catch-up into a full
 // snapshot transfer: once next <= compacted the entries are simply gone.
-func (n *node) compactLoop(p *sim.Proc, adopted bool) {
+func (n *node) compactLoop(p *sim.Proc) {
 	defer p.Enter("compactLoop")()
 	rt := n.c.rt
 	c := n.c
 	for {
-		if !adopted {
-			p.SleepQ(compactEvery+time.Duration(p.Rand().Intn(60))*time.Millisecond, "ms.compactLoop")
-		}
-		adopted = false
+		p.SleepQ(compactEvery + time.Duration(p.Rand().Intn(60))*time.Millisecond)
 		target := n.applied - c.cfg.CompactKeep
 		for n.compacted < target {
 			rt.Loop(p, PtCompactLoop)
@@ -761,7 +710,7 @@ func (n *node) proposeHandler(p *sim.Proc) {
 	defer p.Enter("proposeHandler")()
 	c := n.c
 	for {
-		m := p.RecvQ(n.prop, "ms.propose")
+		m := p.RecvQ(n.prop)
 		req := m.(sim.Req)
 		pm := req.Body.(proposeMsg)
 		if n.state != leader {
@@ -783,32 +732,21 @@ func (n *node) proposeHandler(p *sim.Proc) {
 	}
 }
 
-// proposer is one proposal client. Its loop progress lives in struct
-// fields so a checkpoint snapshot can rebuild the client mid-stream; the
-// park sites are the start delay and the inter-proposal gap (the in-flight
-// Call windows are deliberately untagged -- a capture attempt while any
-// proposal is outstanding is rejected and the probe simply skipped).
+// proposer is one proposal client.
 type proposer struct {
 	c            *Cluster
-	name         string
 	props, batch int
 	gap, start   time.Duration
 
 	done   int // completed proposals (their gap may still be pending)
 	target int
-	proc   *sim.Proc
 }
 
-func (cl *proposer) run(p *sim.Proc, resume string) {
+func (cl *proposer) run(p *sim.Proc) {
 	defer p.Enter("clientPropose")()
 	rt := cl.c.rt
 	c := cl.c
-	if resume == "" && cl.start > 0 {
-		p.SleepQ(cl.start, "ms.client.start")
-	}
-	// resume "ms.client.start" or "ms.client.gap": the wake lands exactly
-	// where the original finished the corresponding sleep, which is the
-	// loop condition below.
+	p.SleepQ(cl.start)
 	for cl.done < cl.props {
 		rt.Loop(p, PtProposeLoop)
 		failures := 0
@@ -829,7 +767,7 @@ func (cl *proposer) run(p *sim.Proc, resume string) {
 		rt.Guard(p, PtProposeIOE, failures > len(c.nodes))
 		rt.Branch(p, "ms.propose.redirected", failures > 0)
 		cl.done++
-		p.SleepQ(cl.gap+time.Duration(p.Rand().Intn(40))*time.Millisecond, "ms.client.gap")
+		p.SleepQ(cl.gap + time.Duration(p.Rand().Intn(40))*time.Millisecond)
 	}
 }
 
@@ -840,26 +778,21 @@ func (c *Cluster) SpawnProposer(name string, props, batch int, gap, start time.D
 	if gap == 0 {
 		gap = 150 * time.Millisecond
 	}
-	cl := &proposer{c: c, name: name, props: props, batch: batch, gap: gap, start: start}
-	cl.proc = c.eng.Spawn("client-"+name, name, func(p *sim.Proc) { cl.run(p, "") })
-	c.clients = append(c.clients, cl)
+	cl := &proposer{c: c, props: props, batch: batch, gap: gap, start: start}
+	c.eng.Spawn("client-"+name, name, cl.run)
 }
 
 // transferLoop is the planned-leadership-transfer admin process.
 type transferLoop struct {
 	c            *Cluster
-	name         string
 	start, every time.Duration
 	times        int
 
 	done int
-	proc *sim.Proc
 }
 
-func (a *transferLoop) run(p *sim.Proc, resume string) {
-	if resume == "" && a.start > 0 {
-		p.SleepQ(a.start, "ms.transfer.start")
-	}
+func (a *transferLoop) run(p *sim.Proc) {
+	p.SleepQ(a.start)
 	for a.done < a.times {
 		for _, n := range a.c.nodes {
 			if n.state == leader && !a.c.eng.Crashed(n.name) {
@@ -868,7 +801,7 @@ func (a *transferLoop) run(p *sim.Proc, resume string) {
 			}
 		}
 		a.done++
-		p.SleepQ(a.every, "ms.transfer.idle")
+		p.SleepQ(a.every)
 	}
 }
 
@@ -876,40 +809,29 @@ func (a *transferLoop) run(p *sim.Proc, resume string) {
 // leadership over (etcd's MoveLeader): planned elections with a healthy
 // heartbeat stream. Rounds where the cluster is leaderless are skipped.
 func (c *Cluster) SpawnTransferLoop(name string, start, every time.Duration, times int) {
-	a := &transferLoop{c: c, name: name, start: start, every: every, times: times}
-	a.proc = c.eng.Spawn("admin-"+name, name, func(p *sim.Proc) { a.run(p, "") })
-	c.transfers = append(c.transfers, a)
+	a := &transferLoop{c: c, start: start, every: every, times: times}
+	c.eng.Spawn("admin-"+name, name, a.run)
 }
 
-// pauserLoop is the node-freezing admin process. The "paused" park site
-// needs its own resume arm: a body woken there must resume the node
-// before rejoining the cycle.
+// pauserLoop is the node-freezing admin process.
 type pauserLoop struct {
 	c               *Cluster
-	name, target    string
+	target          string
 	start, pauseFor time.Duration
 	every           time.Duration
 	times           int
 
 	done int
-	proc *sim.Proc
 }
 
-func (a *pauserLoop) run(p *sim.Proc, resume string) {
-	if resume == "" && a.start > 0 {
-		p.SleepQ(a.start, "ms.pauser.start")
-	}
-	if resume == "ms.pauser.paused" {
-		a.c.eng.ResumeNode(a.target)
-		a.done++
-		p.SleepQ(a.every, "ms.pauser.idle")
-	}
+func (a *pauserLoop) run(p *sim.Proc) {
+	p.SleepQ(a.start)
 	for a.done < a.times {
 		a.c.eng.PauseNode(a.target)
-		p.SleepQ(a.pauseFor, "ms.pauser.paused")
+		p.SleepQ(a.pauseFor)
 		a.c.eng.ResumeNode(a.target)
 		a.done++
-		p.SleepQ(a.every, "ms.pauser.idle")
+		p.SleepQ(a.every)
 	}
 }
 
@@ -918,31 +840,17 @@ func (a *pauserLoop) run(p *sim.Proc, resume string) {
 // falls behind and needs catch-up -- or, past the compaction margin, a
 // full snapshot.
 func (c *Cluster) SpawnPauser(name string, nodeIdx int, start, pauseFor, every time.Duration, times int) {
-	a := &pauserLoop{c: c, name: name, target: c.nodes[nodeIdx].name, start: start, pauseFor: pauseFor, every: every, times: times}
-	a.proc = c.eng.Spawn("admin-"+name, name, func(p *sim.Proc) { a.run(p, "") })
-	c.pausers = append(c.pausers, a)
-}
-
-// crasher removes a member at a fixed virtual time, then exits.
-type crasher struct {
-	c      *Cluster
-	target string
-	at     time.Duration
-	proc   *sim.Proc
-}
-
-func (a *crasher) run(p *sim.Proc, resume string) {
-	if resume == "" {
-		p.SleepQ(a.at, "ms.crasher.wait")
-	}
-	a.c.eng.CrashNode(a.target)
+	a := &pauserLoop{c: c, target: c.nodes[nodeIdx].name, start: start, pauseFor: pauseFor, every: every, times: times}
+	c.eng.Spawn("admin-"+name, name, a.run)
 }
 
 // CrashMember permanently removes a member at the given virtual time: the
 // membership shrinks and the survivors keep serving as long as they still
 // form a quorum of the original group.
 func (c *Cluster) CrashMember(nodeIdx int, at time.Duration) {
-	a := &crasher{c: c, target: c.nodes[nodeIdx].name, at: at}
-	a.proc = c.eng.Spawn("admin-crash", "crashMember", func(p *sim.Proc) { a.run(p, "") })
-	c.crashers = append(c.crashers, a)
+	target := c.nodes[nodeIdx].name
+	c.eng.Spawn("admin-crash", "crashMember", func(p *sim.Proc) {
+		p.SleepQ(at)
+		c.eng.CrashNode(target)
+	})
 }

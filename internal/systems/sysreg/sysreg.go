@@ -37,42 +37,6 @@ import (
 type RunContext struct {
 	Engine *sim.Engine
 	RT     *inject.Runtime
-
-	// Ckpt is set by a workload's Run when the cluster it built supports
-	// checkpoint/restore (prefix-sharing forks). Workloads that leave it
-	// nil silently fall back to from-scratch execution for every injected
-	// run; nothing else changes.
-	Ckpt Checkpointable
-
-	// Session is non-nil only while the harness is rebuilding a cluster
-	// from a checkpoint: Checkpointable.Restore adopts its processes
-	// through it. Workload Run functions never see it.
-	Session *sim.RestoreSession
-}
-
-// Checkpointable is the opt-in contract for prefix-sharing simulation: a
-// built workload cluster that can capture its own mutable state and
-// rebuild an equivalent cluster on a fresh engine restored from a
-// sim.Checkpoint taken at the same instant.
-//
-// Snapshot returns a self-contained copy of the cluster's mutable Go
-// state (counters, role assignments, queues mirrored in struct fields,
-// process pids and park tags). It is called between Engine.Run calls at
-// the same quiescent instant as Engine.Checkpoint, and must not mutate
-// the cluster.
-//
-// Restore is called on the *profile* cluster instance -- acting as a
-// factory carrying immutable configuration -- with a RunContext whose
-// Engine is a fresh engine primed by Checkpoint.RestoreInto and whose
-// Session is the open restore session. It must rebuild the cluster:
-// re-create every mailbox in the original creation order, adopt every
-// runnable process via ctx.Session.Adopt with bodies bound to ctx.RT
-// (the forked run's injection runtime, not the profile's), and restore
-// struct state from the snapshot. The harness calls Session.Finish
-// afterwards; Restore must not Spawn, Send, or schedule anything.
-type Checkpointable interface {
-	Snapshot() any
-	Restore(ctx *RunContext, state any) error
 }
 
 // Workload is one integration test shipped with a target system. Run sets

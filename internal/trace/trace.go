@@ -56,9 +56,8 @@ type Run struct {
 	reached   []int // natural activations (injected ones are excluded)
 	loopIters []int // loop iterations per loop point
 	covered   []bool
-	reachAt   []time.Duration // virtual time of first coverage (valid iff covered)
-	occ       [][]Occurrence  // up to OccCap occurrence states per fault
-	loopSite  []Occurrence    // first observed calling context per loop
+	occ       [][]Occurrence // up to OccCap occurrence states per fault
+	loopSite  []Occurrence   // first observed calling context per loop
 	loopSeen  []bool
 
 	// InjFired reports whether the planned injection actually triggered.
@@ -100,7 +99,6 @@ func (r *Run) grow(d int) {
 		r.reached = append(r.reached, 0)
 		r.loopIters = append(r.loopIters, 0)
 		r.covered = append(r.covered, false)
-		r.reachAt = append(r.reachAt, 0)
 		r.occ = append(r.occ, nil)
 		r.loopSite = append(r.loopSite, Occurrence{})
 		r.loopSeen = append(r.loopSeen, false)
@@ -161,7 +159,6 @@ func (r *Run) Reset() {
 	clear(r.reached)
 	clear(r.loopIters)
 	clear(r.covered)
-	clear(r.reachAt)
 	clear(r.loopSeen)
 	clear(r.loopSite) // drop occurrence references, not just counters
 	for i := range r.occ {
@@ -174,25 +171,9 @@ func (r *Run) Reset() {
 	r.Wall = 0
 }
 
-// Cover marks a point as covered, recording the virtual time of its
-// first coverage. The first-reach time is what the prefix-sharing
-// harness uses as a fault's divergence point: an injection run at the
-// same seed is identical to the profile run strictly before it.
-func (r *Run) Cover(id faults.ID, at time.Duration) {
-	d := r.dense(id)
-	if !r.covered[d] {
-		r.covered[d] = true
-		r.reachAt[d] = at
-	}
-}
-
-// FirstReach returns the virtual time at which the point's hook first
-// executed; ok is false when the point was never covered in this run.
-func (r *Run) FirstReach(id faults.ID) (time.Duration, bool) {
-	if d, ok := r.denseRO(id); ok && d < len(r.covered) && r.covered[d] {
-		return r.reachAt[d], true
-	}
-	return 0, false
+// Cover marks a point as covered.
+func (r *Run) Cover(id faults.ID) {
+	r.covered[r.dense(id)] = true
 }
 
 // Activate records a natural fault activation with its local state.
@@ -209,12 +190,9 @@ func (r *Run) Activate(id faults.ID, occ Occurrence) {
 // dense lookup is the dominant cost of a hook that fires on every
 // monitored event, so the hot hooks (inject.Guard/Negate) use the fused
 // forms; recorded state is identical to the two separate calls.
-func (r *Run) CoverActivate(id faults.ID, at time.Duration, occ Occurrence) {
+func (r *Run) CoverActivate(id faults.ID, occ Occurrence) {
 	d := r.dense(id)
-	if !r.covered[d] {
-		r.covered[d] = true
-		r.reachAt[d] = at
-	}
+	r.covered[d] = true
 	r.reached[d]++
 	if len(r.occ[d]) < OccCap {
 		r.occ[d] = append(r.occ[d], occ)
@@ -227,12 +205,9 @@ func (r *Run) CoverActivate(id faults.ID, at time.Duration, occ Occurrence) {
 // captures a stack and calls SeeLoop only once per (run, loop) instead
 // of paying the capture and a third lookup on every iteration. Recorded
 // state is identical to Cover + LoopIter + SeeLoop per iteration.
-func (r *Run) LoopTick(id faults.ID, at time.Duration) (needSite bool) {
+func (r *Run) LoopTick(id faults.ID) (needSite bool) {
 	d := r.dense(id)
-	if !r.covered[d] {
-		r.covered[d] = true
-		r.reachAt[d] = at
-	}
+	r.covered[d] = true
 	r.loopIters[d]++
 	return !r.loopSeen[d]
 }
@@ -295,133 +270,6 @@ func (r *Run) LoopSiteOf(id faults.ID) (Occurrence, bool) {
 		return r.loopSite[d], true
 	}
 	return Occurrence{}, false
-}
-
-// CopyFrom overwrites r with a deep logical copy of src. Dense ids in
-// the shared space prefix copy positionally; overflow ids are re-interned
-// into r by fault ID, because pooled runs accumulate overflow interning
-// order from previous reuses and the same monitor-only id may sit at
-// different dense indices in the two runs. Occurrence values are copied
-// by value -- their Stack/Branches slices are immutable shared snapshots,
-// so aliasing them is safe.
-//
-// The prefix-sharing harness uses this twice: to snapshot a recorder's
-// state at a checkpoint (so a forked run continues recording on a copy)
-// and to clone a whole cached profile run when an injection run is
-// provably identical to it.
-func (r *Run) CopyFrom(src *Run) {
-	r.Test, r.Seed = src.Test, src.Seed
-	r.InjFired = src.InjFired
-	r.InjSite = src.InjSite
-	r.Result = src.Result
-	r.Wall = src.Wall
-	for d, n := 0, src.universe(); d < n; d++ {
-		td := d
-		if d >= src.base {
-			td = r.dense(src.extraIDs[d-src.base])
-		} else {
-			r.grow(td)
-		}
-		r.reached[td] = src.reached[d]
-		r.loopIters[td] = src.loopIters[d]
-		r.covered[td] = src.covered[d]
-		r.reachAt[td] = src.reachAt[d]
-		r.occ[td] = append(r.occ[td][:0], src.occ[d]...)
-		r.loopSite[td] = src.loopSite[d]
-		r.loopSeen[td] = src.loopSeen[d]
-	}
-}
-
-// SizeBytes estimates the run's retained memory: flat per-id rates plus
-// the occurrence payloads (whose Stack/Branches backing arrays are shared
-// snapshots, counted at pointer rates). The prefix-sharing checkpoint
-// cache uses it for byte budgeting, not exact accounting.
-func (r *Run) SizeBytes() int {
-	n := 256 + r.universe()*120
-	for _, os := range r.occ {
-		for _, o := range os {
-			n += 64 + len(o.Stack)*16 + len(o.Branches)*24
-		}
-	}
-	return n
-}
-
-// Fingerprint digests everything analysis downstream of the harness can
-// observe in the run: per-fault counters, coverage times, occurrence
-// evidence, injection outcome, and the sim result. Wall (host time) is
-// excluded, and ids are folded in sorted order so pooled reuse and
-// overflow interning order do not matter. Equal fingerprints mean the
-// runs are observationally byte-identical; the prefix-sharing identity
-// tests compare forked runs against from-scratch runs with it.
-func (r *Run) Fingerprint() uint64 {
-	h := fnv64{sum: 1469598103934665603}
-	h.wStr(r.Test)
-	h.wInt(r.Seed)
-	h.wBool(r.InjFired)
-	h.wOcc(r.InjSite)
-	h.wInt(int64(r.Result.Reason))
-	h.wInt(int64(r.Result.Now))
-	h.wInt(int64(r.Result.Events))
-	anyState := func(rr *Run, d int) bool {
-		return reachedAt(rr, d) || coveredAt(rr, d) || loopIterAt(rr, d) ||
-			(d < len(rr.loopSeen) && rr.loopSeen[d]) ||
-			(d < len(rr.occ) && len(rr.occ[d]) > 0)
-	}
-	for _, id := range sortedIDsWhere([]*Run{r}, anyState) {
-		d, _ := r.denseRO(id)
-		h.wStr(string(id))
-		h.wInt(int64(r.reached[d]))
-		h.wInt(int64(r.loopIters[d]))
-		h.wBool(r.covered[d])
-		h.wInt(int64(r.reachAt[d]))
-		h.wInt(int64(len(r.occ[d])))
-		for _, o := range r.occ[d] {
-			h.wOcc(o)
-		}
-		h.wBool(r.loopSeen[d])
-		h.wOcc(r.loopSite[d])
-	}
-	return h.sum
-}
-
-// fnv64 is an incremental FNV-1a hasher with length-prefixed field
-// framing (so adjacent fields cannot alias across boundaries).
-type fnv64 struct{ sum uint64 }
-
-func (h *fnv64) wByte(b byte) { h.sum = (h.sum ^ uint64(b)) * 1099511628211 }
-
-func (h *fnv64) wInt(v int64) {
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		h.wByte(byte(u >> (8 * i)))
-	}
-}
-
-func (h *fnv64) wStr(s string) {
-	h.wInt(int64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.wByte(s[i])
-	}
-}
-
-func (h *fnv64) wBool(b bool) {
-	if b {
-		h.wByte(1)
-	} else {
-		h.wByte(0)
-	}
-}
-
-func (h *fnv64) wOcc(o Occurrence) {
-	h.wInt(int64(len(o.Stack)))
-	for _, s := range o.Stack {
-		h.wStr(s)
-	}
-	h.wInt(int64(len(o.Branches)))
-	for _, b := range o.Branches {
-		h.wStr(b.ID)
-		h.wBool(b.Taken)
-	}
 }
 
 // TotalReached returns the sum of natural activation counts across all

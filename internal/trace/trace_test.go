@@ -11,7 +11,7 @@ import (
 
 func TestRunAccounting(t *testing.T) {
 	r := NewRun("t1", 7)
-	r.Cover("f.a", 0)
+	r.Cover("f.a")
 	r.Activate("f.a", Occurrence{Stack: []string{"x"}})
 	r.Activate("f.a", Occurrence{Stack: []string{"y"}})
 	r.LoopIter("l.1")
@@ -54,10 +54,10 @@ func TestRunSpaceBackedDenseIDs(t *testing.T) {
 		{ID: "s.b", Kind: faults.Loop, HasIO: true},
 	}, nil)
 	r := NewPool(space).Get("t", 1)
-	r.Cover("s.a", 0)
+	r.Cover("s.a")
 	r.Activate("s.a", Occurrence{Stack: []string{"f"}})
 	r.LoopIter("s.b")
-	r.Cover("s.monitor_only", 0) // not in the space: overflow id
+	r.Cover("s.monitor_only") // not in the space: overflow id
 	if !r.Covered("s.a") || !r.Covered("s.monitor_only") || r.Covered("s.b") {
 		t.Fatalf("coverage: a=%v mon=%v b=%v", r.Covered("s.a"), r.Covered("s.monitor_only"), r.Covered("s.b"))
 	}
@@ -81,11 +81,11 @@ func TestPoolReuseLeaksNothing(t *testing.T) {
 	pool := NewPool(space)
 
 	dirty := pool.Get("t", 1)
-	dirty.Cover("s.a", 0)
+	dirty.Cover("s.a")
 	dirty.Activate("s.a", Occurrence{Stack: []string{"f"}, Branches: []sim.BranchEval{{ID: "b", Taken: true}}})
 	dirty.LoopIter("s.l")
 	dirty.SeeLoop("s.l", Occurrence{Stack: []string{"g"}})
-	dirty.Cover("s.overflow", 0)
+	dirty.Cover("s.overflow")
 	dirty.InjFired = true
 	dirty.InjSite = Occurrence{Stack: []string{"inj"}}
 	dirty.Result = sim.RunResult{Reason: sim.StopHorizon, Now: time.Second, Events: 9}
@@ -181,9 +181,9 @@ func TestOccurrenceCapPooled(t *testing.T) {
 func TestCoverageUnion(t *testing.T) {
 	set := &Set{}
 	a := NewRun("t", 1)
-	a.Cover("f.a", 0)
+	a.Cover("f.a")
 	b := NewRun("t", 2)
-	b.Cover("f.b", 0)
+	b.Cover("f.b")
 	set.Add(a)
 	set.Add(b)
 	cov := set.Coverage()
