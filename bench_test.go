@@ -355,41 +355,12 @@ func BenchmarkBeamSearch(b *testing.B) {
 	}
 }
 
-func BenchmarkBeamSearchFromSlice(b *testing.B) {
-	// Legacy entry point: interning the flat slice is part of each call.
-	edges := syntheticEdges(120)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		beam.Search(edges, nil, beam.Options{MaxLen: 6})
-	}
-}
-
 func BenchmarkGraphBuild(b *testing.B) {
 	edges := syntheticEdges(120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := graph.FromEdges(edges)
 		g.Index()
-	}
-}
-
-func BenchmarkGraphIndexDeltaRefresh(b *testing.B) {
-	// The anytime round loop's access pattern: a handful of insertions,
-	// then a re-index. The delta-aware refresh reuses every untouched
-	// entry instead of re-interning key sets and re-materializing edges.
-	g := graph.New()
-	g.AddAll(syntheticEdges(512))
-	g.Index()
-	st := compat.State{Occ: []trace.Occurrence{{Stack: []string{"fn"}}}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Add(fca.Edge{
-			From: faults.ID(fmt.Sprintf("f.%d", i%30)), To: faults.ID(fmt.Sprintf("fx.%d", i%64)),
-			Kind: faults.EI, Test: "t0", FromState: st, ToState: st,
-		})
-		if g.Index() == nil {
-			b.Fatal("no index")
-		}
 	}
 }
 

@@ -202,13 +202,13 @@ func (s *Schedule) Next(max int) []PlannedRun {
 				s.st = stCluster
 			}
 		case stCluster:
-			// PIPELINE BARRIER 1 (clustering): planning cannot cross into
+			// DECISION BARRIER 1 (clustering): planning cannot cross into
 			// phase two until every phase-one run has been folded -- the
 			// interference sets of *all* phase-one experiments feed the
-			// causally-equivalent-fault clustering. This (and stScore) are
-			// the only points where the wave pipeline must drain; within a
-			// phase, waves may execute and be analysed concurrently because
-			// planning depends only on the RNG and used-pair bookkeeping.
+			// causally-equivalent-fault clustering. This and stScore are
+			// the only points that bound a wave: within a phase planning
+			// depends only on the RNG and used-pair bookkeeping, so Next(0)
+			// plans a whole phase as one wave.
 			if len(out) > 0 || len(s.res.Runs) < s.planned {
 				return s.emit(out)
 			}
@@ -221,11 +221,11 @@ func (s *Schedule) Next(max int) []PlannedRun {
 				s.st = stScore
 			}
 		case stScore:
-			// PIPELINE BARRIER 2 (scoring): phase-three weights derive from
+			// DECISION BARRIER 2 (scoring): phase-three weights derive from
 			// the per-cluster SimScores, which need the complete phase-two
-			// interference evidence. Callers snapshotting SimScores/ClusterOf
-			// for concurrent analysis must copy them *before* calling Next
-			// again: crossing this barrier mutates both in place.
+			// interference evidence. Crossing it mutates SimScores and
+			// ClusterOf in place: a round's analysis reads them between
+			// Fold and the next Next.
 			if len(out) > 0 || len(s.res.Runs) < s.planned {
 				return s.emit(out)
 			}

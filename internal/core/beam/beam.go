@@ -182,18 +182,6 @@ func rotationLess(parts []string, a, b int) bool {
 	return false // identical
 }
 
-// Search runs the parallel beam search over a flat causal edge slice: a
-// convenience wrapper that interns the edges into a graph.Graph (merging
-// duplicate edges by construction) and delegates to SearchGraph.
-// simScoreOf maps an injected fault to its cluster's SimScore (§5.2); nil
-// means a constant score.
-func Search(edges []fca.Edge, simScoreOf func(faults.ID) float64, opt Options) []Cycle {
-	if len(edges) == 0 {
-		return nil
-	}
-	return SearchGraph(graph.FromEdges(edges), simScoreOf, opt)
-}
-
 // SearchGraph runs the parallel beam search over a prebuilt interned
 // causal graph: the fast path. The graph's columnar index carries dense
 // fault ids and the interned state-key id sets computed once at edge

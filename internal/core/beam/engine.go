@@ -508,7 +508,9 @@ func (m *matcher) signatureOf(can []int) string {
 	return minRotation(parts)
 }
 
-// oneNestFamilyIdx is oneNestFamily over edge indices (no Cycle needed).
+// oneNestFamilyIdx reports whether every fault touched by the cycle (a
+// vector of edge indices) belongs to a single loop-nest family: such
+// "cycles" merely restate that a nested loop shares fate with its parent.
 func (m *matcher) oneNestFamilyIdx(can []int, groups map[faults.ID]int) bool {
 	if len(groups) == 0 {
 		return false
@@ -517,30 +519,6 @@ func (m *matcher) oneNestFamilyIdx(can []int, groups map[faults.ID]int) bool {
 	family := -1
 	for _, k := range can {
 		for _, f := range [2]faults.ID{ix.FaultOf[ix.From[k]], ix.FaultOf[ix.To[k]]} {
-			g, ok := groups[f]
-			if !ok {
-				return false // a fault outside any nest: real cycle
-			}
-			if family == -1 {
-				family = g
-			} else if family != g {
-				return false
-			}
-		}
-	}
-	return family != -1
-}
-
-// oneNestFamily reports whether every fault touched by the cycle belongs
-// to a single loop-nest family: such "cycles" merely restate that a nested
-// loop shares fate with its parent.
-func oneNestFamily(cy Cycle, groups map[faults.ID]int) bool {
-	if len(groups) == 0 {
-		return false
-	}
-	family := -1
-	for _, e := range cy.Edges {
-		for _, f := range []faults.ID{e.From, e.To} {
 			g, ok := groups[f]
 			if !ok {
 				return false // a fault outside any nest: real cycle

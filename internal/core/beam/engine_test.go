@@ -13,12 +13,26 @@ import (
 )
 
 // mkMatcher builds the search matcher over a graph interned from a flat
-// edge slice, as Search does.
+// edge slice.
 func mkMatcher(edges []fca.Edge, simScoreOf func(faults.ID) float64) *matcher {
 	if simScoreOf == nil {
 		simScoreOf = func(faults.ID) float64 { return 1 }
 	}
 	return newMatcher(graph.FromEdges(edges), simScoreOf)
+}
+
+// edgeIdx looks an edge up by endpoints and kind: static connectors sort
+// after the dynamic edges in graph order, so insertion position is not
+// the matcher's index.
+func edgeIdx(t *testing.T, m *matcher, from, to faults.ID, kind faults.EdgeKind) int {
+	t.Helper()
+	for i := range m.edges {
+		if e := &m.edges[i]; e.From == from && e.To == to && e.Kind == kind {
+			return i
+		}
+	}
+	t.Fatalf("edge %s -%v-> %s not found", from, kind, to)
+	return -1
 }
 
 func TestIntersects(t *testing.T) {
@@ -85,8 +99,6 @@ func TestConnectorSequencingRules(t *testing.T) {
 			FromClass: faults.ClassDelay, ToClass: faults.ClassDelay,
 			FromState: compat.State{DelayFault: true}, ToState: compat.State{DelayFault: true}}
 	}
-	// Static connectors sort after the dynamic edge in graph order; keep
-	// the index mapping explicit by looking edges up by kind+endpoints.
 	edges := []fca.Edge{
 		mk("a", "b", faults.ICFG),
 		mk("b", "c", faults.ICFG),
@@ -95,20 +107,11 @@ func TestConnectorSequencingRules(t *testing.T) {
 		mk("c", "d", faults.SD),
 	}
 	m := mkMatcher(edges, nil)
-	find := func(from faults.ID, kind faults.EdgeKind) int {
-		for i := range m.edges {
-			if m.edges[i].From == from && m.edges[i].Kind == kind {
-				return i
-			}
-		}
-		t.Fatalf("edge %s/%v not found", from, kind)
-		return -1
-	}
-	ab := find("a", faults.ICFG)
-	bcI := find("b", faults.ICFG)
-	bcC := find("b", faults.CFG)
-	cdC := find("c", faults.CFG)
-	cdS := find("c", faults.SD)
+	ab := edgeIdx(t, m, "a", "b", faults.ICFG)
+	bcI := edgeIdx(t, m, "b", "c", faults.ICFG)
+	bcC := edgeIdx(t, m, "b", "c", faults.CFG)
+	cdC := edgeIdx(t, m, "c", "d", faults.CFG)
+	cdS := edgeIdx(t, m, "c", "d", faults.SD)
 	if m.matchIdx(ab, bcI) {
 		t.Error("ICFG -> ICFG must not chain")
 	}
@@ -129,15 +132,19 @@ func TestOneNestFamilyFilter(t *testing.T) {
 		return fca.Edge{From: from, To: to, Kind: kind,
 			FromClass: faults.ClassDelay, ToClass: faults.ClassDelay}
 	}
-	inNest := Cycle{Edges: []fca.Edge{mk("p", "c1", faults.SD), mk("c1", "p", faults.ICFG)}}
-	if !oneNestFamily(inNest, groups) {
+	m := mkMatcher([]fca.Edge{
+		mk("p", "c1", faults.SD), mk("c1", "p", faults.ICFG),
+		mk("p", "x", faults.SD), mk("x", "p", faults.SD),
+	}, nil)
+	inNest := []int{edgeIdx(t, m, "p", "c1", faults.SD), edgeIdx(t, m, "c1", "p", faults.ICFG)}
+	crossing := []int{edgeIdx(t, m, "p", "x", faults.SD), edgeIdx(t, m, "x", "p", faults.SD)}
+	if !m.oneNestFamilyIdx(inNest, groups) {
 		t.Error("pure nest-family cycle must be filtered")
 	}
-	crossing := Cycle{Edges: []fca.Edge{mk("p", "x", faults.SD), mk("x", "p", faults.SD)}}
-	if oneNestFamily(crossing, groups) {
+	if m.oneNestFamilyIdx(crossing, groups) {
 		t.Error("cycle leaving the nest must be kept")
 	}
-	if oneNestFamily(inNest, nil) {
+	if m.oneNestFamilyIdx(inNest, nil) {
 		t.Error("no nest info means no filtering")
 	}
 }
@@ -155,31 +162,5 @@ func TestCountsDelayDistinct(t *testing.T) {
 	}
 	if !m.countsDelay(c, 2) {
 		t.Error("a new delay fault must count")
-	}
-}
-
-// TestSearchGraphMatchesSearch pins the wrapper equivalence: searching a
-// prebuilt graph and searching the flat slice it was interned from yield
-// identical cycles.
-func TestSearchGraphMatchesSearch(t *testing.T) {
-	st := func(stack ...string) compat.State {
-		return compat.State{Occ: []trace.Occurrence{{Stack: stack}}}
-	}
-	edges := []fca.Edge{
-		{From: "a", To: "b", Kind: faults.EI, Test: "t1", FromState: st("x"), ToState: st("y")},
-		{From: "b", To: "a", Kind: faults.EI, Test: "t2", FromState: st("y"), ToState: st("x")},
-		{From: "b", To: "c", Kind: faults.EI, Test: "t3", FromState: st("y"), ToState: st("z")},
-		{From: "c", To: "a", Kind: faults.EI, Test: "t4", FromState: st("z"), ToState: st("x")},
-	}
-	g := graph.FromEdges(edges)
-	viaGraph := SearchGraph(g, nil, Options{})
-	viaSlice := Search(edges, nil, Options{})
-	if len(viaGraph) != len(viaSlice) {
-		t.Fatalf("cycle counts diverge: %d vs %d", len(viaGraph), len(viaSlice))
-	}
-	for i := range viaGraph {
-		if viaGraph[i].Signature() != viaSlice[i].Signature() || viaGraph[i].Score != viaSlice[i].Score {
-			t.Fatalf("cycle %d diverges: %v vs %v", i, viaGraph[i], viaSlice[i])
-		}
 	}
 }

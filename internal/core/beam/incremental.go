@@ -27,7 +27,10 @@
 // Truncation makes the enumeration non-exhaustive and chain reuse
 // unsound, so the engine detects it and permanently falls back to
 // delegating every round to the one-shot search, which is equal by
-// definition.
+// definition. Cycle-dense targets do reach it: a MetaStore light campaign
+// (seed 42) truncates in round 3 of 6 at 5 284 cycles, so rounds 3-6 and
+// the final search each pay a full one-shot search (0.86 / 1.36 / 1.61 /
+// 2.00 / 3.96 s, docs/PR15-measurements.md).
 
 package beam
 
@@ -149,7 +152,7 @@ func (inc *Incremental) Search(g *graph.Graph, simScoreOf func(faults.ID) float6
 }
 
 // SearchDelta is Search with the round's delta already in hand (the
-// anytime pipeline computes it when the wave executes): when the delta's
+// round loop computes it when the wave executes): when the delta's
 // window matches exactly what this searcher has not yet folded, the
 // graph is not re-scanned; any mismatch falls back to recomputing.
 func (inc *Incremental) SearchDelta(g *graph.Graph, delta graph.Delta, simScoreOf func(faults.ID) float64) []Cycle {

@@ -2,9 +2,11 @@
 // emits waves of (fault, test) runs and the harness driver executes each
 // wave and publishes the causal-graph delta it contributed. Under
 // WithAnytime, WithEarlyStop, and ProtocolAdaptive an incremental beam
-// search folds every delta into the cycle set -- so the campaign has a
-// complete (and converging) answer after every round instead of only at
-// the end. A full anytime run executes exactly the experiments a batch
+// search folds every delta into the cycle set before the next wave is
+// planned -- so the campaign has a complete (and converging) answer after
+// every round instead of only at the end, and every consumer of a round
+// (observer, checkpoint sink, stop criterion) hears it at the same
+// moment. A full anytime run executes exactly the experiments a batch
 // campaign executes, accumulates exactly the same graph, and finishes
 // with an identical report; early stopping trades the unspent budget for
 // the answer already in hand.
@@ -22,13 +24,14 @@ import (
 	"repro/internal/harness"
 )
 
-// runRounds drives the round loop every campaign runs: build the
-// schedule, alternate Next / ExecuteWave / Fold until the budget is spent
-// (or the campaign stops early or is cancelled), then capture, search,
-// cluster, and fire CycleFound/CampaignFinished. capture seals the
-// driver's graph into the report with its annotations. The campaign RNG
-// rides a CountedSource so a checkpoint can record the draw position and
-// a resumed campaign can fast-forward to it.
+// runRounds drives the round loop every campaign runs, on the calling
+// goroutine: build the schedule, alternate Next / ExecuteWave / Fold /
+// round analysis until the budget is spent (or the campaign stops early
+// or is cancelled), then capture, search, cluster, and fire
+// CycleFound/CampaignFinished. capture seals the driver's graph into the
+// report with its annotations. The campaign RNG rides a CountedSource so
+// a checkpoint can record the draw position and a resumed campaign can
+// fast-forward to it.
 //
 // A batch campaign (no WithAnytime/WithEarlyStop/ProtocolAdaptive) is the
 // degenerate case: whole-phase waves (Next(0) plans to the next decision
@@ -102,55 +105,6 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 	}
 	inc := beam.NewIncremental(cfg.Beam)
 
-	// Round analysis: the FCA-fed incremental search and the cycle
-	// clustering of a sealed round run on a background goroutine. Analysis
-	// consumes only immutable state -- the sealed wave-k graph snapshot,
-	// the wave's delta, and a copy of the schedule's scoring state taken
-	// before Next can mutate it at a phase barrier -- so when no consumer
-	// needs round k's analysis before wave k+1 may start it overlaps the
-	// next wave's simulations, and the computed rounds are byte-identical
-	// either way; only wall-clock overlaps.
-	//
-	// Early stopping genuinely needs round k's cluster fingerprint before
-	// planning round k+1, and checkpointing must seal rounds in lockstep
-	// with the schedule state it persists, so both join the analysis
-	// before the next wave instead of after it.
-	pipeline := cfg.EarlyStopRounds == 0 && c.ckptFn == nil
-	type pendingRound struct {
-		r        Round
-		done     chan struct{}
-		cycles   []beam.Cycle
-		clusters []beam.CycleCluster
-		panicked any
-	}
-	var pend *pendingRound
-	// seal joins the in-flight analysis and seals its round: append,
-	// observer, convergence bookkeeping.
-	seal := func() {
-		if pend == nil {
-			return
-		}
-		<-pend.done
-		if pend.panicked != nil {
-			panic(pend.panicked)
-		}
-		r := pend.r
-		r.CycleCount = len(pend.cycles)
-		r.Clusters = compactClusters(pend.clusters)
-		rep.Rounds = append(rep.Rounds, r)
-		if ro, ok := c.obs.(RoundObserver); ok {
-			ro.RoundCompleted(r)
-		}
-		fp := clusterFingerprint(pend.clusters)
-		if len(pend.cycles) > 0 && fp == lastFP {
-			stable++
-		} else {
-			stable = 0
-		}
-		lastFP = fp
-		pend = nil
-	}
-
 	for !rep.EarlyStopped && !sched.Done() && c.ctx.Err() == nil {
 		wave := sched.Next(waveSize)
 		if len(wave) == 0 {
@@ -168,12 +122,17 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 			continue
 		}
 
-		// Join round k-1 (its analysis overlapped this wave's sims), then
-		// hand round k to the background analyser. The snapshot and the
-		// scoring-state copy are taken now, between Fold and the next Next.
-		seal()
+		// Round analysis, on the campaign goroutine between Fold and the
+		// next Next: it reads the graph as wave k left it, the wave's delta
+		// and the schedule's scoring state before a phase barrier in Next
+		// can move it -- all pure functions of the configuration and the
+		// executed schedule prefix, so a round is deterministic, and every
+		// consumer (observer, checkpoint, stop criterion) has round k before
+		// wave k+1 starts.
+		cycles := inc.SearchDelta(driver.Graph(), delta, res.SimScoreOf)
+		clusters := beam.ClusterCycles(cycles, clusterLookup(res))
 		roundNum++
-		p := &pendingRound{done: make(chan struct{}), r: Round{
+		r := Round{
 			Round:         roundNum,
 			Phase:         wave[len(wave)-1].Phase,
 			Runs:          len(wave),
@@ -182,21 +141,21 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 			NewEdges:      delta.New,
 			TouchedEdges:  len(delta.Edges),
 			TouchedFaults: len(delta.Faults),
-		}}
-		pend = p
-		snap := driver.Graph()
-		frozen := snapshotScoring(res)
-		go func() {
-			defer close(p.done)
-			defer func() { p.panicked = recover() }()
-			p.cycles = inc.SearchDelta(snap, delta, frozen.SimScoreOf)
-			p.clusters = beam.ClusterCycles(p.cycles, clusterLookup(frozen))
-		}()
-		if pipeline {
-			continue
+			CycleCount:    len(cycles),
+			Clusters:      compactClusters(clusters),
 		}
+		rep.Rounds = append(rep.Rounds, r)
+		if ro, ok := c.obs.(RoundObserver); ok {
+			ro.RoundCompleted(r)
+		}
+		fp := clusterFingerprint(clusters)
+		if len(cycles) > 0 && fp == lastFP {
+			stable++
+		} else {
+			stable = 0
+		}
+		lastFP = fp
 
-		seal()
 		if c.ckptFn != nil && resumable != nil {
 			// Checkpoint persistence is best-effort: a round whose
 			// checkpoint could not be built still completes, the campaign
@@ -210,7 +169,6 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 			rep.EarlyStopped = true
 		}
 	}
-	seal()
 
 	if cfg.Protocol != ProtocolRandom {
 		rep.Alloc = res
@@ -223,9 +181,15 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 	// Final search with the finished allocation's scores: the last
 	// round's search can predate phase-two scoring (the schedule may
 	// finish clustering and scoring only while planning later, empty
-	// waves). The graph is unchanged since the last round, so this is a
-	// fold-only re-rank for the incremental engine; a batch campaign has
-	// no chain store to reuse and pays for none.
+	// waves). The graph is unchanged since the last round, so the
+	// incremental engine only re-folds its chain store -- unless its beam
+	// truncated in some round, after which that round, every later one
+	// and this search are each a full one-shot search. On MetaStore light
+	// (seed 42) that happens in round 3 of 6, at 5 284 cycles: rounds 3-6
+	// cost 0.86 / 1.36 / 1.61 / 2.00 s and this search 3.96 s
+	// (docs/PR15-measurements.md), which is the anytime-vs-batch gap of
+	// ROADMAP item 1(d). A batch campaign has no chain store to reuse and
+	// pays for none.
 	if perRound {
 		rep.Cycles = inc.Search(rep.Graph, res.SimScoreOf)
 	} else {
@@ -245,21 +209,6 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 		c.obs.CampaignFinished(rep)
 	}
 	return rep, driver, nil
-}
-
-// snapshotScoring freezes the schedule's scoring state for a background
-// round analysis: crossing a phase barrier in Next mutates SimScores and
-// ClusterOf in place, so the search is handed a copy equal to what the
-// schedule held when the round was sealed.
-func snapshotScoring(res *alloc.Result) *alloc.Result {
-	frozen := &alloc.Result{
-		SimScores: append([]float64(nil), res.SimScores...),
-		ClusterOf: make(map[faults.ID]int, len(res.ClusterOf)),
-	}
-	for f, gi := range res.ClusterOf {
-		frozen.ClusterOf[f] = gi
-	}
-	return frozen
 }
 
 // clusterLookup adapts a result's fault clustering to the lookup

@@ -39,8 +39,9 @@ type Observer interface {
 
 // RoundObserver is an optional extension a campaign Observer may
 // implement to receive per-round anytime events: after every executed
-// wave it gets the round summary (wave size, graph delta counts, the
-// cycle set known so far). Batch campaigns emit no round events.
+// wave, and before the next one starts, it gets the round summary (wave
+// size, graph delta counts, the cycle set known so far). Batch campaigns
+// emit no round events.
 type RoundObserver interface {
 	RoundCompleted(r Round)
 }

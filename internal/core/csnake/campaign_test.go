@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -199,6 +200,7 @@ func (r *eventRecorder) EdgeDiscovered(e fca.Edge)          { r.add("edge") }
 func (r *eventRecorder) CampaignStarted(s string, n, b int) { r.add("started:" + s) }
 func (r *eventRecorder) CycleFound(c beam.Cycle)            { r.add("cycle") }
 func (r *eventRecorder) CampaignFinished(rep *Report)       { r.add("finished") }
+func (r *eventRecorder) RoundCompleted(rd Round)            { r.add(fmt.Sprintf("round:%d", rd.Round)) }
 
 func (r *eventRecorder) snapshot() []string {
 	r.mu.Lock()
@@ -261,6 +263,54 @@ func TestObserverEventOrdering(t *testing.T) {
 	}
 	if len(rep.Cycles) != cycles {
 		t.Fatalf("CycleFound fired %d times for %d cycles", cycles, len(rep.Cycles))
+	}
+
+	// Per-round campaigns: round k is delivered after every experiment of
+	// wave k and before any of wave k+1, whoever else consumes the round.
+	perRound := []struct {
+		name string
+		opts []Option
+	}{
+		{"anytime", []Option{WithAnytime()}},
+		{"early-stop", []Option{WithEarlyStop(2)}},
+		{"checkpoints", []Option{WithAnytime(), WithCheckpoints(func(*Checkpoint) {})}},
+	}
+	for _, mode := range perRound {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s-p%d", mode.name, par), func(t *testing.T) {
+				rec := &eventRecorder{}
+				opts := append(tinyOpts(), WithWaveSize(3), WithParallelism(par), WithObserver(rec))
+				rep, err := NewCampaign(tinySystem{}, append(opts, mode.opts...)...).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Rounds) < 2 {
+					t.Fatalf("%d rounds; need at least 2 to order a round against the next wave", len(rep.Rounds))
+				}
+				var seen, due, next int
+				for _, e := range rec.snapshot() {
+					switch {
+					case strings.HasPrefix(e, "experiment:"):
+						seen++
+					case strings.HasPrefix(e, "round:"):
+						if next == len(rep.Rounds) {
+							t.Fatalf("%s beyond the report's %d rounds", e, len(rep.Rounds))
+						}
+						due += rep.Rounds[next].Runs
+						next++
+						if want := fmt.Sprintf("round:%d", next); e != want {
+							t.Fatalf("got %s, want %s", e, want)
+						}
+						if seen != due {
+							t.Fatalf("%s delivered after %d experiments, its wave ends at %d", e, seen, due)
+						}
+					}
+				}
+				if next != len(rep.Rounds) {
+					t.Fatalf("%d round events for %d rounds", next, len(rep.Rounds))
+				}
+			})
+		}
 	}
 }
 

@@ -3,14 +3,16 @@ package csnake
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
 // TestAnytimeCancellationMidWave is the regression test for campaign
 // teardown: a cancellation that lands mid-wave (here: during the second
 // experiment of the first wave) must surface as context.Canceled -- not
-// as a nil error with a partial report -- and must not fire
-// CampaignFinished, whose contract is "the campaign ran to completion".
+// as a nil error with a partial report -- must seal no round on the
+// partial evidence, and must not fire CampaignFinished, whose contract is
+// "the campaign ran to completion".
 func TestAnytimeCancellationMidWave(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -28,9 +30,15 @@ func TestAnytimeCancellationMidWave(t *testing.T) {
 	if rep == nil {
 		t.Fatal("cancelled campaign returned no partial report")
 	}
+	if len(rep.Rounds) != 0 {
+		t.Fatalf("cancelled wave sealed %d round(s) on partial evidence", len(rep.Rounds))
+	}
 	for _, e := range rec.snapshot() {
 		if e == "finished" {
 			t.Fatal("CampaignFinished fired for a cancelled campaign")
+		}
+		if strings.HasPrefix(e, "round:") {
+			t.Fatalf("%s delivered for a wave that was cut short", e)
 		}
 	}
 }

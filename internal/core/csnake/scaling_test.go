@@ -1,11 +1,10 @@
-// Randomized scale-out identity sweep: the sharded accumulation and
-// pipelined wave analysis promise byte-identical reports for ANY
-// combination of wave size, worker count, and pipeline mode -- not just
-// the handful of configurations the targeted tests pin. This sweep
-// draws configurations from a seeded RNG and compares each against its
-// own serial baseline, so a merge-order or snapshot bug that only
-// manifests at an odd wave/parallelism pairing still has a test that
-// can reach it.
+// Randomized scale-out identity sweep: the sharded accumulation promises
+// byte-identical reports for ANY combination of wave size and worker
+// count -- not just the handful of configurations the targeted tests
+// pin. This sweep draws configurations from a seeded RNG and compares
+// each against its own serial baseline, so a merge-order or snapshot bug
+// that only manifests at an odd wave/parallelism pairing still has a
+// test that can reach it.
 
 package csnake
 

@@ -1,11 +1,9 @@
 package graph_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
-	"repro/internal/core/fca"
 	"repro/internal/core/graph"
 	"repro/internal/faults"
 	"repro/internal/trace"
@@ -54,58 +52,5 @@ func TestDeltaIgnoresCapRejectedMerges(t *testing.T) {
 	g.Add(dynEdge("a", "b", faults.EI, "t1", []trace.Occurrence{occ("late")}, nil))
 	if d := g.DeltaSince(mark); !d.Empty() {
 		t.Fatalf("cap-rejected merge surfaced in delta: %+v", d)
-	}
-}
-
-// TestIncrementalIndexMatchesFullRebuild pins the delta-aware Index()
-// refresh: growing a graph in chunks and re-indexing after each chunk
-// must produce exactly the index a from-scratch build of the same edge
-// stream produces, including the static-tail shift as the dynamic
-// section grows.
-func TestIncrementalIndexMatchesFullRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	stream := randomEdges(rng, 160)
-	static := []fca.Edge{
-		{From: "f.0", To: "f.1", Kind: faults.ICFG, FromClass: faults.ClassDelay, ToClass: faults.ClassDelay},
-		{From: "f.1", To: "f.2", Kind: faults.CFG, FromClass: faults.ClassDelay, ToClass: faults.ClassDelay},
-	}
-
-	g := graph.New()
-	g.AddStatic(static)
-	for chunk := 0; chunk*20 < len(stream); chunk++ {
-		lo, hi := chunk*20, (chunk+1)*20
-		if hi > len(stream) {
-			hi = len(stream)
-		}
-		g.AddAll(stream[lo:hi])
-		got := g.Index()
-
-		ref := graph.New()
-		ref.AddStatic(static)
-		ref.AddAll(stream[:hi])
-		want := ref.Index()
-
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("incremental index diverges from full rebuild after chunk %d", chunk)
-		}
-	}
-}
-
-func TestSnapshotSharesFreshParentIndex(t *testing.T) {
-	g := graph.New()
-	g.Add(dynEdge("a", "b", faults.EI, "t1", nil, nil))
-	ix := g.Index()
-	if got := g.Snapshot().Index(); got != ix {
-		t.Fatal("full snapshot of an indexed graph rebuilt the index")
-	}
-	// After further growth, re-indexing the parent and snapshotting again
-	// shares the refreshed index, not the outdated one.
-	g.Add(dynEdge("b", "a", faults.EI, "t1", nil, nil))
-	fresh := g.Index()
-	if fresh == ix {
-		t.Fatal("stale index was not refreshed")
-	}
-	if got := g.Snapshot().Index(); got != fresh {
-		t.Fatal("post-growth snapshot did not share the refreshed index")
 	}
 }

@@ -59,10 +59,10 @@ type edgeRec struct {
 	firstSeq  int // raw sequence of the first insertion (-1 for static)
 	// lastSeq is the raw sequence of the last insertion that actually
 	// extended this record's evidence (== firstSeq until a merge grows an
-	// occ list). Deltas and incremental index refreshes use it to decide
-	// which records a window of insertions touched; merges rejected by the
-	// evidence cap do not advance it, because they cannot change any
-	// derived state (key sets, materialized edges, match outcomes).
+	// occ list). Deltas use it to decide which records a window of
+	// insertions touched; merges rejected by the evidence cap do not
+	// advance it, because they cannot change any derived state (key sets,
+	// materialized edges, match outcomes).
 	lastSeq int
 	fromOcc []occEntry
 	toOcc   []occEntry
@@ -97,12 +97,10 @@ type Graph struct {
 	nestGroup map[int32]int
 
 	sealed bool
-	// Cached search index plus the watermarks it was built at. Dynamic
-	// staleness is measured by raw sequence (ixSeq vs seq): a stale index
-	// is refreshed in place of a full rebuild by reusing every entry whose
-	// record the window did not touch. staticGen counts static-section
-	// changes (appends or evidence growth), which are rare and force a
-	// full rebuild.
+	// Cached search index plus the watermarks it was built at: the raw
+	// sequence (ixSeq vs seq) for dynamic insertions and staticGen, which
+	// counts static-section changes (appends or evidence growth). A stale
+	// index is rebuilt in full on the next Index call.
 	ix        *Index
 	ixSeq     int
 	ixStatics int
@@ -445,13 +443,6 @@ func (g *Graph) prefixSeq(cut, nMarks int) *Graph {
 		}
 	}
 	s.static = append([]edgeRec(nil), g.static...)
-	if cut >= g.seq && g.ixFresh() {
-		// A full snapshot is structurally identical to its parent: share
-		// the parent's (read-only) index so per-round searches of anytime
-		// campaigns do not rebuild it from scratch.
-		s.ix = g.ix
-		s.ixSeq = s.seq
-	}
 	if g.scores != nil {
 		s.scores = make(map[int32]float64, len(g.scores))
 		for k, v := range g.scores {
@@ -665,20 +656,14 @@ func (g *Graph) ixFresh() bool {
 }
 
 // Index returns (building and caching on first use) the columnar search
-// view. A cached index left stale by dynamic insertions is refreshed
-// delta-aware: entries of records the insertion window did not touch are
-// reused (no key-set recomputation, no evidence re-materialization), only
-// new and evidence-extended records are filled from scratch. Static-
-// section changes (rare: Merge, construction) force a full rebuild.
+// view. A cached index left stale by insertions is rebuilt in full: the
+// graphs searched here have a few hundred edges and a build is well under
+// a millisecond (bench/README.md, graph.index_s).
 func (g *Graph) Index() *Index {
 	if g.ixFresh() {
 		return g.ix
 	}
-	if g.ix != nil && g.ixStatics == g.staticGen {
-		g.ix = g.updateIndex(g.ix, g.ixSeq)
-	} else {
-		g.ix = g.buildIndex()
-	}
+	g.ix = g.buildIndex()
 	g.ixSeq = g.seq
 	g.ixStatics = g.staticGen
 	return g.ix
@@ -719,20 +704,6 @@ func (g *Graph) fillIndexAt(ix *Index, i int, r *edgeRec) {
 	ix.Edges[i] = g.materialize(r)
 }
 
-// copyIndexAt moves entry j of src to entry i of dst. Inner slices (key
-// sets, occurrence lists) are immutable once built, so sharing them across
-// index generations is safe.
-func copyIndexAt(dst *Index, i int, src *Index, j int) {
-	dst.From[i], dst.To[i] = src.From[j], src.To[j]
-	dst.Kind[i] = src.Kind[j]
-	dst.FromClass[i], dst.ToClass[i] = src.FromClass[j], src.ToClass[j]
-	dst.FromDelay[i], dst.ToDelay[i] = src.FromDelay[j], src.ToDelay[j]
-	dst.Connector[i] = src.Connector[j]
-	dst.FromStack[i], dst.FromFull[i] = src.FromStack[j], src.FromFull[j]
-	dst.ToStack[i], dst.ToFull[i] = src.ToStack[j], src.ToFull[j]
-	dst.Edges[i] = src.Edges[j]
-}
-
 func (g *Graph) buildIndex() *Index {
 	n := g.Len()
 	ix := g.newIndexShell(n)
@@ -740,31 +711,6 @@ func (g *Graph) buildIndex() *Index {
 		r := g.rec(i)
 		g.fillIndexAt(ix, i, r)
 		ix.ByFrom[r.from] = append(ix.ByFrom[r.from], int32(i))
-	}
-	return ix
-}
-
-// updateIndex refreshes a stale base index built at raw-sequence baseSeq,
-// with an unchanged static section. Dynamic records the window [baseSeq,
-// seq) touched -- plus the records it added -- are refilled; everything
-// else, including the static tail (whose logical indices shift as the
-// dynamic section grows), is copied entry-wise from the base. ByFrom is
-// rebuilt, as new edges may depart any fault.
-func (g *Graph) updateIndex(base *Index, baseSeq int) *Index {
-	n := g.Len()
-	nDyn := len(g.dyn)
-	baseDyn := base.N - len(g.static)
-	ix := g.newIndexShell(n)
-	for i := 0; i < n; i++ {
-		switch {
-		case i < nDyn && (i >= baseDyn || g.dyn[i].lastSeq >= baseSeq):
-			g.fillIndexAt(ix, i, &g.dyn[i])
-		case i < nDyn:
-			copyIndexAt(ix, i, base, i)
-		default:
-			copyIndexAt(ix, i, base, baseDyn+(i-nDyn))
-		}
-		ix.ByFrom[ix.From[i]] = append(ix.ByFrom[ix.From[i]], int32(i))
 	}
 	return ix
 }

@@ -686,14 +686,10 @@ func (d *Driver) OffsetSims(n int) error {
 // Graph returns a sealed snapshot of the full causal graph accumulated so
 // far (dynamic edges plus the static ICFG/CFG loop edges): the indexed,
 // serializable artifact the beam search, report tables, and cross-
-// campaign stitching consume. The live graph's search index is refreshed
-// (delta-aware) before snapshotting, so successive snapshots of a round-
-// based campaign share incrementally-maintained indexes instead of each
-// rebuilding one from scratch.
+// campaign stitching consume.
 func (d *Driver) Graph() *graph.Graph {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.g.Index()
 	return d.g.Snapshot()
 }
 

@@ -246,8 +246,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	for _, want := range []string{
-		"csnaked_jobs_succeeded_total 2",
-		"csnaked_graphs_stored 3",
+		"# TYPE csnaked_jobs_succeeded_total counter\ncsnaked_jobs_succeeded_total 2",
+		"# TYPE csnaked_graphs_stored gauge\ncsnaked_graphs_stored 3",
 		"csnaked_jobs_running 0",
 	} {
 		if !strings.Contains(string(mbody), want) {

@@ -7,6 +7,7 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 )
 
@@ -98,7 +99,12 @@ func (m *Manager) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"csnaked_uptime_seconds", "Seconds since the service started.", s.UptimeSeconds},
 	}
 	for _, l := range lines {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", l.name, l.help, l.name, l.name, l.value)
+		// Prometheus naming convention: a _total series only ever grows.
+		typ := "gauge"
+		if strings.HasSuffix(l.name, "_total") {
+			typ = "counter"
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", l.name, l.help, l.name, typ, l.name, l.value)
 	}
 }
 
