@@ -52,6 +52,14 @@ type Scheduler interface {
 	Spent() int
 	// Result assembles the (possibly partial) allocation result.
 	Result() *Result
+	// ExportState snapshots the schedule at a wave boundary (every
+	// previously emitted run folded). It panics mid-wave, like Next.
+	ExportState() *ScheduleState
+	// RestoreState rehydrates a freshly constructed schedule of the same
+	// configuration to the exported position. The caller separately
+	// fast-forwards the schedule's RNG to the draw count recorded
+	// alongside the state.
+	RestoreState(st *ScheduleState) error
 }
 
 // plannerCache memoises TestsFor, which schedules consult repeatedly.

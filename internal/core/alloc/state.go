@@ -69,20 +69,6 @@ func (c *CountedSource) FastForwardTo(n int64) error {
 	return nil
 }
 
-// Resumable is implemented by schedules whose planning position can be
-// checkpointed and restored. Both Schedule (3PA) and RandomSchedule
-// implement it.
-type Resumable interface {
-	// ExportState snapshots the schedule at a wave boundary (every
-	// previously emitted run folded). It panics mid-wave, like Next.
-	ExportState() *ScheduleState
-	// RestoreState rehydrates a freshly constructed schedule of the same
-	// configuration to the exported position. The caller separately
-	// fast-forwards the schedule's RNG to the draw count recorded
-	// alongside the state.
-	RestoreState(st *ScheduleState) error
-}
-
 // UsedPairs lists the workloads already paired with one fault, for the
 // schedule's never-repeat bookkeeping. Tests are sorted for stable
 // serialization.

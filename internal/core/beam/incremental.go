@@ -30,7 +30,7 @@
 // definition. Cycle-dense targets do reach it: a MetaStore light campaign
 // (seed 42) truncates in round 3 of 6 at 5 284 cycles, so rounds 3-6 and
 // the final search each pay a full one-shot search (0.86 / 1.36 / 1.61 /
-// 2.00 / 3.96 s, docs/PR15-measurements.md).
+// 2.00 / 3.96 s, docs/MEASUREMENTS.md).
 
 package beam
 

@@ -64,14 +64,8 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 
 	var roundNum, stable int
 	var lastFP string
-	// Both schedules implement alloc.Resumable; one that did not could
-	// neither restore from a checkpoint nor emit one.
-	resumable, _ := sched.(alloc.Resumable)
 	if cp := c.resume; cp != nil {
-		if resumable == nil {
-			return rep, driver, resumeErr("scheduler %T is not resumable", sched)
-		}
-		if err := resumable.RestoreState(cp.Schedule); err != nil {
+		if err := sched.RestoreState(cp.Schedule); err != nil {
 			return rep, driver, resumeErr("%v", err)
 		}
 		if err := src.FastForwardTo(cp.RNGDraws); err != nil {
@@ -156,11 +150,11 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 		}
 		lastFP = fp
 
-		if c.ckptFn != nil && resumable != nil {
+		if c.ckptFn != nil {
 			// Checkpoint persistence is best-effort: a round whose
 			// checkpoint could not be built still completes, the campaign
 			// just resumes from an earlier round after a crash.
-			if cp, err := checkpointOf(c, cfg, driver, resumable, src, roundNum, stable, lastFP); err == nil {
+			if cp, err := checkpointOf(c, cfg, driver, sched, src, roundNum, stable, lastFP); err == nil {
 				c.ckptFn(cp)
 			}
 		}
@@ -187,7 +181,7 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 	// and this search are each a full one-shot search. On MetaStore light
 	// (seed 42) that happens in round 3 of 6, at 5 284 cycles: rounds 3-6
 	// cost 0.86 / 1.36 / 1.61 / 2.00 s and this search 3.96 s
-	// (docs/PR15-measurements.md), which is the anytime-vs-batch gap of
+	// (docs/MEASUREMENTS.md), which is the anytime-vs-batch gap of
 	// ROADMAP item 1(d). A batch campaign has no chain store to reuse and
 	// pays for none.
 	if perRound {

@@ -1,9 +1,10 @@
 // This file holds Campaign, the first-class handle on one CSnake
 // detection campaign: a builder constructed from functional options,
 // driving a (possibly parallel) harness.Driver, observable through an
-// event stream, and cancellable through a context. The one-shot
-// Run/RunWithDriver functions in csnake.go remain as thin wrappers for
-// callers that do not need any of that.
+// event stream, and cancellable through a context. Campaign.Run is the
+// only way to run a campaign, and the Report it returns the only
+// artifact: everything downstream (tables, phase attribution, offline
+// re-search, the service) reads the report and its graph.
 
 package csnake
 
@@ -57,8 +58,8 @@ func (NopObserver) CycleFound(beam.Cycle)                          {}
 func (NopObserver) CampaignFinished(*Report)                       {}
 
 // Campaign is a configured, reusable campaign description. Build one with
-// NewCampaign and execute it with Run or RunWithDriver; each execution
-// creates a fresh driver, so a Campaign value can be run repeatedly.
+// NewCampaign and execute it with Run; each execution creates a fresh
+// driver, so a Campaign value can be run repeatedly.
 type Campaign struct {
 	sys      sysreg.System
 	cfg      Config
@@ -73,9 +74,9 @@ type Campaign struct {
 // Option mutates a Campaign under construction.
 type Option func(*Campaign)
 
-// NewCampaign builds a campaign against sys. Without options it is
-// equivalent to Run(sys, DefaultConfig(42)): paper-faithful parameters,
-// serial execution, no observer, background context.
+// NewCampaign builds a campaign against sys. Without options it runs
+// DefaultConfig(42): paper-faithful parameters, serial execution, no
+// observer, background context.
 func NewCampaign(sys sysreg.System, opts ...Option) *Campaign {
 	c := &Campaign{
 		sys: sys,
@@ -90,17 +91,10 @@ func NewCampaign(sys sysreg.System, opts ...Option) *Campaign {
 }
 
 // WithConfig replaces the whole Config (applied before later options, so
-// it composes with WithReps etc. regardless of order only when first). A
-// positive cfg.Harness.Parallelism is adopted as the campaign's
-// parallelism, so legacy Config-based callers get the worker pool too.
-func WithConfig(cfg Config) Option {
-	return func(c *Campaign) {
-		c.cfg = cfg
-		if cfg.Harness.Parallelism > 0 {
-			c.par = cfg.Harness.Parallelism
-		}
-	}
-}
+// it composes with WithReps etc. regardless of order only when first).
+// Parallelism is set with WithParallelism alone; cfg.Harness.Parallelism
+// is ignored.
+func WithConfig(cfg Config) Option { return func(c *Campaign) { c.cfg = cfg } }
 
 // WithSeed sets the campaign seed driving all random choices.
 func WithSeed(seed int64) Option { return func(c *Campaign) { c.cfg.Seed = seed } }
@@ -230,17 +224,16 @@ func (c *Campaign) System() sysreg.System { return c.sys }
 // Run executes the campaign: profile runs, budgeted fault injection, FCA,
 // and the beam search. On cancellation it returns the partial report and
 // the context error. The internal driver is torn down before returning
-// (its pooled traces released); callers that need the driver afterwards
-// use RunWithDriver and own the teardown.
+// (its pooled traces released).
 func (c *Campaign) Run() (*Report, error) {
-	rep, driver, err := c.RunWithDriver()
+	rep, driver, err := c.run()
 	driver.Release()
 	return rep, err
 }
 
-// RunWithDriver is Run, additionally returning the harness driver so
-// callers (the report tables) can inspect edge provenance.
-func (c *Campaign) RunWithDriver() (*Report, *harness.Driver, error) {
+// run is Run before the teardown: it also returns the driver, which the
+// in-package tests of the release contract inspect.
+func (c *Campaign) run() (*Report, *harness.Driver, error) {
 	cfg := c.cfg
 	space := sysreg.Space(c.sys)
 	hcfg := cfg.Harness

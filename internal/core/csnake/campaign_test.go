@@ -162,14 +162,6 @@ func TestCampaignInvalidOptionValuesIgnored(t *testing.T) {
 	}
 }
 
-func TestWithConfigAdoptsHarnessParallelism(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.Harness.Parallelism = 4
-	if got := NewCampaign(tinySystem{}, WithConfig(cfg)).Parallelism(); got != 4 {
-		t.Fatalf("parallelism = %d, want 4", got)
-	}
-}
-
 // --- observer event stream ---
 
 type eventRecorder struct {
@@ -428,25 +420,6 @@ func TestRealSystemCampaignParallelByteIdentical(t *testing.T) {
 	}
 	if fmt.Sprintf("%+v", serial.CycleClusters) != fmt.Sprintf("%+v", parallel.CycleClusters) {
 		t.Fatal("cycle clusters diverge")
-	}
-}
-
-// TestLegacyRunMatchesCampaign pins the compatibility wrapper: the old
-// one-shot entry point is the builder with WithConfig.
-func TestLegacyRunMatchesCampaign(t *testing.T) {
-	cfg := DefaultConfig(7)
-	cfg.Harness.Reps = 3
-	cfg.Harness.DelayMagnitudes = []time.Duration{200 * time.Millisecond, time.Second}
-	legacy, err := Run(tinySystem{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBuilder, err := NewCampaign(tinySystem{}, WithConfig(cfg)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Edges, viaBuilder.Edges) || legacy.Sims != viaBuilder.Sims {
-		t.Fatal("legacy Run diverges from Campaign with the same config")
 	}
 }
 

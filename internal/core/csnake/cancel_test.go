@@ -75,7 +75,7 @@ func TestCancelledCampaignReleasesTraces(t *testing.T) {
 	}}
 	_, driver, err := NewCampaign(tinySystem{},
 		append(tinyOpts(), WithAnytime(), WithWaveSize(3),
-			WithContext(ctx), WithObserver(rec))...).RunWithDriver()
+			WithContext(ctx), WithObserver(rec))...).run()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -95,9 +95,10 @@ func TestCancelledCampaignReleasesTraces(t *testing.T) {
 	}
 }
 
-// Run (without WithDriver) releases pooled traces itself.
+// A finished campaign holds pooled profile runs until the Release that
+// Run performs on the way out.
 func TestRunReleasesTraces(t *testing.T) {
-	rep, driver, err := NewCampaign(tinySystem{}, tinyOpts()...).RunWithDriver()
+	rep, driver, err := NewCampaign(tinySystem{}, tinyOpts()...).run()
 	if err != nil {
 		t.Fatal(err)
 	}

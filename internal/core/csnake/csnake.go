@@ -151,21 +151,6 @@ type Round struct {
 	Clusters []beam.CycleCluster
 }
 
-// Run executes a full campaign against sys with a fixed Config: it is
-// the one-shot wrapper over the Campaign builder, serial and unobserved.
-// The error is the campaign's termination error (context cancellation);
-// the report is always returned, partial on error.
-func Run(sys sysreg.System, cfg Config) (*Report, error) {
-	rep, _, err := RunWithDriver(sys, cfg)
-	return rep, err
-}
-
-// RunWithDriver is Run, additionally returning the harness driver so
-// callers (the report tables) can inspect edge provenance.
-func RunWithDriver(sys sysreg.System, cfg Config) (*Report, *harness.Driver, error) {
-	return NewCampaign(sys, WithConfig(cfg)).RunWithDriver()
-}
-
 // NestGroups assigns every loop in a nest (parent and children) to one
 // family, merging nests that share loops. The beam search uses the
 // families to drop structural parent-child "cycles".

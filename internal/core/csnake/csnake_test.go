@@ -62,7 +62,7 @@ func TestCampaignDetectsSeededBugs(t *testing.T) {
 		{objstore.New(), []string{"OZONE-2", "OZONE-3"}},
 	}
 	for _, c := range cases {
-		rep, err := Run(c.sys, lightConfig(42))
+		rep, err := NewCampaign(c.sys, WithConfig(lightConfig(42))).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestCampaignHDFS2FindsMajority(t *testing.T) {
 		t.Skip("campaigns are heavyweight")
 	}
 	sys := dfs.NewV2()
-	rep, err := Run(sys, lightConfig(42))
+	rep, err := NewCampaign(sys, WithConfig(lightConfig(42))).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRandomProtocolRuns(t *testing.T) {
 	}
 	cfg := lightConfig(7)
 	cfg.Protocol = ProtocolRandom
-	rep, err := Run(kvstore.New(), cfg)
+	rep, err := NewCampaign(kvstore.New(), WithConfig(cfg)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

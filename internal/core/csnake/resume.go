@@ -108,7 +108,7 @@ func (c *Campaign) adoptResume(cp *Checkpoint, cfg Config, driver *harness.Drive
 // checkpointOf seals the campaign's position after a round: schedule
 // state, RNG draw count, cumulative sims, convergence counters, and the
 // serialized graph.
-func checkpointOf(c *Campaign, cfg Config, driver *harness.Driver, res alloc.Resumable,
+func checkpointOf(c *Campaign, cfg Config, driver *harness.Driver, sched alloc.Scheduler,
 	src *alloc.CountedSource, rounds, stable int, lastFP string) (*Checkpoint, error) {
 
 	gb, err := json.Marshal(driver.Graph())
@@ -124,7 +124,7 @@ func checkpointOf(c *Campaign, cfg Config, driver *harness.Driver, res alloc.Res
 		RNGDraws:        src.Draws(),
 		Stable:          stable,
 		LastFingerprint: lastFP,
-		Schedule:        res.ExportState(),
+		Schedule:        sched.ExportState(),
 		Graph:           gb,
 	}, nil
 }

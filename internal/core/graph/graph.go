@@ -624,6 +624,10 @@ func (g *Graph) NestGroups() map[faults.ID]int {
 	return out
 }
 
+// NumNestGroups returns the number of faults annotated with a loop-nest
+// family: len(NestGroups()) without building the map.
+func (g *Graph) NumNestGroups() int { return len(g.nestGroup) }
+
 // Index is the search-ready columnar view of a graph: dense fault ids,
 // interned key-id sets, and a From-indexed adjacency. Building it touches
 // no strings; the beam search matches entirely on integers.

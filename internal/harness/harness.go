@@ -20,8 +20,8 @@
 // accessors may be called from any goroutine, but ExecuteWave (and
 // Execute) calls must be issued serially relative to each other (as the
 // allocation schedules do): concurrent calls would interleave edge
-// insertions between mark boundaries and corrupt the GraphUpTo
-// experiment-to-edge attribution.
+// insertions between mark boundaries and corrupt the experiment-to-edge
+// attribution of Graph().Prefix(n).
 package harness
 
 import (
@@ -686,21 +686,13 @@ func (d *Driver) OffsetSims(n int) error {
 // Graph returns a sealed snapshot of the full causal graph accumulated so
 // far (dynamic edges plus the static ICFG/CFG loop edges): the indexed,
 // serializable artifact the beam search, report tables, and cross-
-// campaign stitching consume.
+// campaign stitching consume. The snapshot carries the per-experiment
+// marks, so Graph().Prefix(n) is the graph as the first n experiments
+// left it.
 func (d *Driver) Graph() *graph.Graph {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.g.Snapshot()
-}
-
-// GraphUpTo returns a sealed prefix snapshot covering the first n Execute
-// calls plus the static loop edges; n >= the number of experiments yields
-// the full graph. Snapshots reuse the interned edge records -- no raw
-// stream is replayed and no state keys are recomputed.
-func (d *Driver) GraphUpTo(n int) *graph.Graph {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.g.Prefix(n)
 }
 
 // Edges returns the deduplicated causal edge set discovered so far,

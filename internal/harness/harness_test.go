@@ -87,19 +87,20 @@ func TestTestsForUsesSharedCoverageCache(t *testing.T) {
 func TestExecuteAccumulatesEdgesAndMarks(t *testing.T) {
 	d := lightDriver(t)
 	d.Execute(dfs.PtNNIBRProcessLoop, "ibr_storm")
-	marks := d.Graph().Marks()
+	g := d.Graph()
+	marks := g.Marks()
 	if len(marks) != 1 {
 		t.Fatalf("marks = %v", marks)
 	}
 	if marks[0] == 0 {
 		t.Fatal("no edges recorded for a storm-producing injection")
 	}
-	edges := d.GraphUpTo(1).Edges()
+	edges := g.Prefix(1).Edges()
 	if len(edges) == 0 {
-		t.Fatal("GraphUpTo(1).Edges() empty")
+		t.Fatal("Graph().Prefix(1).Edges() empty")
 	}
-	if got := d.GraphUpTo(0).Edges(); len(got) >= len(edges) {
-		t.Fatalf("GraphUpTo(0).Edges() = %d edges, want only static ones (< %d)", len(got), len(edges))
+	if got := g.Prefix(0).Edges(); len(got) >= len(edges) {
+		t.Fatalf("Graph().Prefix(0).Edges() = %d edges, want only static ones (< %d)", len(got), len(edges))
 	}
 }
 
@@ -236,8 +237,10 @@ func (r *legacyRecorder) EdgeDiscovered(e fca.Edge)                      { r.raw
 
 // TestEdgesUpToMatchesSeedSemantics pins the graph-backed prefix
 // snapshots against the seed semantics on a real campaign slice: for
-// every experiment count n, GraphUpTo(n).Edges() must equal
-// Dedup(raw[:marks[n-1]] ++ StaticLoopEdges), the legacy formula.
+// every experiment count n, Graph().Prefix(n).Edges() -- a prefix of the
+// sealed snapshot a report carries, which is what phase attribution
+// reads -- must equal Dedup(raw[:marks[n-1]] ++ StaticLoopEdges), the
+// legacy formula.
 func TestEdgesUpToMatchesSeedSemantics(t *testing.T) {
 	sys := dfs.NewV2()
 	space := sysreg.Space(sys)
@@ -248,7 +251,8 @@ func TestEdgesUpToMatchesSeedSemantics(t *testing.T) {
 	d.Execute(dfs.PtNNIBRProcessLoop, "ibr_storm")
 	d.Execute(dfs.PtDNIBRRPCIOE, "ibr_interval")
 	d.Execute(dfs.PtDNIBRRPCIOE, "ibr_storm")
-	marks := d.Graph().Marks()
+	g := d.Graph()
+	marks := g.Marks()
 	if len(marks) != 3 {
 		t.Fatalf("marks = %v", marks)
 	}
@@ -262,9 +266,9 @@ func TestEdgesUpToMatchesSeedSemantics(t *testing.T) {
 			cut = marks[n-1]
 		}
 		want := fca.Dedup(append(append([]fca.Edge(nil), rec.raw[:cut]...), static...))
-		got := d.GraphUpTo(n).Edges()
+		got := g.Prefix(n).Edges()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("GraphUpTo(%d).Edges() diverges from seed semantics: got %d edges, want %d\ngot:  %v\nwant: %v",
+			t.Fatalf("Graph().Prefix(%d).Edges() diverges from seed semantics: got %d edges, want %d\ngot:  %v\nwant: %v",
 				n, len(got), len(want), got, want)
 		}
 	}

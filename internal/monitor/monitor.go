@@ -195,7 +195,7 @@ func (m *Monitor) Ingest(r io.Reader) (BatchResult, error) {
 func (m *Monitor) searchLocked(rebuilt bool) []Alert {
 	m.win.Annotate()
 	g := m.win.Graph()
-	if n := countNests(g); rebuilt || n != m.pinnedNests {
+	if n := g.NumNestGroups(); rebuilt || n != m.pinnedNests {
 		// A rebuilt graph voids the searcher's watermarks; a grown nest
 		// family set voids its pinned filter. Either way a reset re-primes
 		// the next search from scratch, which is always exact.
@@ -285,12 +285,6 @@ func (m *Monitor) Signatures() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// countNests sizes the graph's effective nest family map without
-// copying it.
-func countNests(g *graph.Graph) int {
-	return len(g.NestGroups())
 }
 
 // scanLines feeds r to fn one newline-terminated line at a time, lines

@@ -77,8 +77,6 @@ type Table3Row struct {
 type CampaignArtifacts struct {
 	System sysreg.System
 	Report *csnake.Report
-	// Driver gives access to edge provenance for phase attribution.
-	Driver *harness.Driver
 	Config csnake.Config
 	// Err is the campaign's termination error (context cancellation).
 	Err error
@@ -90,8 +88,8 @@ type CampaignArtifacts struct {
 // light reps) the same way everywhere.
 func RunCampaign(sys sysreg.System, opts ...csnake.Option) *CampaignArtifacts {
 	c := csnake.NewCampaign(sys, opts...)
-	rep, driver, err := c.RunWithDriver()
-	return &CampaignArtifacts{System: sys, Report: rep, Driver: driver, Config: c.Config(), Err: err}
+	rep, err := c.Run()
+	return &CampaignArtifacts{System: sys, Report: rep, Config: c.Config(), Err: err}
 }
 
 // Table3 classifies each ground-truth bug of the campaign's system.
@@ -144,9 +142,10 @@ func detectedComposition(rep *csnake.Report, bug sysreg.Bug) string {
 
 // phaseReports builds the three cumulative per-phase sub-reports (the
 // campaign as it looked after phases 1, 2, 3). Each phase is re-searched
-// from a prefix snapshot of the driver's interned graph: the
-// per-experiment boundaries address the prefix directly, with no raw-edge
-// copying, re-deduplication, or state-key recomputation. Bug-independent,
+// from a prefix snapshot of the report's own graph, which carries the
+// per-experiment marks: the boundaries address the prefix directly, with
+// no raw-edge copying, re-deduplication, or state-key recomputation --
+// and phase attribution is a function of the report alone. Bug-independent,
 // so Table 3 computes this once and probes it per bug. Returns nil when
 // the campaign has no 3PA result.
 func phaseReports(art *CampaignArtifacts) []*csnake.Report {
@@ -166,7 +165,7 @@ func phaseReports(art *CampaignArtifacts) []*csnake.Report {
 				n = i + 1
 			}
 		}
-		g := art.Driver.GraphUpTo(n)
+		g := art.Report.Graph.Prefix(n)
 		sub := &csnake.Report{
 			System: art.Report.System,
 			Space:  art.Report.Space,

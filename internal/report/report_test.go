@@ -2,10 +2,13 @@ package report
 
 import (
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core/csnake"
 	"repro/internal/systems/dfs"
 	"repro/internal/systems/kvstore"
 	"repro/internal/systems/sysreg"
@@ -52,6 +55,45 @@ func TestWriteTable3Rendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestTable3AllocPhaseFromReportGraph pins the Table 3 "Alloc" column on
+// a real light campaign (the configuration `experiments -table 3 -system
+// hbase` runs): phaseReports cuts the per-phase prefixes out of the
+// report's own graph, and both seeded HBase bugs are already revealed by
+// the edges phase 1 accumulated.
+func TestTable3AllocPhaseFromReportGraph(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full real-system campaign skipped in -short mode")
+	}
+	art := RunCampaign(kvstore.New(),
+		csnake.WithSeed(42), csnake.WithReps(3),
+		csnake.WithDelayMagnitudes(500*time.Millisecond, 2*time.Second, 8*time.Second))
+	if art.Err != nil {
+		t.Fatal(art.Err)
+	}
+	subs := phaseReports(art)
+	if len(subs) != 3 {
+		t.Fatalf("phaseReports = %d sub-reports, want 3", len(subs))
+	}
+	// The prefixes are real cuts: phase 1 saw strictly less raw evidence
+	// than the whole campaign, and phase 3 is the whole campaign.
+	if p1, all := subs[0].Graph.RawLen(), art.Report.Graph.RawLen(); p1 == 0 || p1 >= all {
+		t.Fatalf("phase-1 prefix has %d raw edges of %d", p1, all)
+	}
+	if !reflect.DeepEqual(subs[2].Edges, art.Report.Edges) {
+		t.Fatalf("phase-3 prefix has %d edges, the report %d", len(subs[2].Edges), len(art.Report.Edges))
+	}
+	phase := map[string]int{}
+	for _, r := range Table3(art, nil, nil) {
+		if !r.Detected {
+			t.Errorf("%s not detected", r.Bug.ID)
+		}
+		phase[r.Bug.ID] = r.AllocPhase
+	}
+	if want := map[string]int{"HBASE-1": 1, "HBASE-2": 1}; !reflect.DeepEqual(phase, want) {
+		t.Fatalf("AllocPhase = %v, want %v", phase, want)
 	}
 }
 

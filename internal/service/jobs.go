@@ -398,7 +398,6 @@ func (m *Manager) popBest() *Job {
 // error -- and leaves the daemon and its other jobs untouched.
 func (m *Manager) runJob(j *Job, ctx context.Context) {
 	var rep *csnake.Report
-	var driver *harness.Driver
 	var err error
 	func() {
 		defer func() {
@@ -409,9 +408,9 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 				err = fmt.Errorf("campaign panicked: %v\n%s", r, debug.Stack())
 			}
 		}()
-		rep, driver, err = m.runCampaign(j, ctx)
+		rep, err = m.runCampaign(j, ctx)
 	}()
-	m.finish(j, rep, driver, err)
+	m.finish(j, rep, err)
 	m.mu.Lock()
 	m.running--
 	m.mu.Unlock()
@@ -422,10 +421,10 @@ func (m *Manager) runJob(j *Job, ctx context.Context) {
 // job's checkpoint when one is loaded. A checkpoint the campaign
 // rejects (ErrResume -- e.g. the spec changed shape across a daemon
 // upgrade) is discarded and the campaign re-runs from scratch.
-func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, *harness.Driver, error) {
+func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, error) {
 	sys, opts, err := j.Spec.Resolve()
 	if err != nil { // validated at submit; re-resolution cannot regress
-		return nil, nil, err
+		return nil, err
 	}
 	m.mu.Lock()
 	j.bugs = sys.Bugs()
@@ -446,8 +445,7 @@ func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, *har
 		if ckpt != nil {
 			runOpts = append(runOpts, csnake.WithResume(ckpt))
 		}
-		rep, driver, err := csnake.NewCampaign(sys, runOpts...).RunWithDriver()
-		driver.Release() // return pooled traces: jobs outlive their drivers
+		rep, err := csnake.NewCampaign(sys, runOpts...).Run()
 		if err != nil && errors.Is(err, csnake.ErrResume) {
 			log.Printf("csnaked: job %s: discarding stale checkpoint: %v", j.ID, err)
 			m.mu.Lock()
@@ -460,7 +458,7 @@ func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, *har
 			ckpt = nil
 			continue
 		}
-		return rep, driver, err
+		return rep, err
 	}
 }
 
@@ -525,15 +523,15 @@ func (m *Manager) requeue(j *Job) {
 // of closing it. Terminal transitions persist the report, drop the
 // resume checkpoint, and notify subscribers. Safe to call once per
 // attempt; calls racing a terminal state are ignored.
-func (m *Manager) finish(j *Job, rep *csnake.Report, driver *harness.Driver, err error) {
+func (m *Manager) finish(j *Job, rep *csnake.Report, err error) {
 	m.mu.Lock()
 	if j.state.Terminal() {
 		m.mu.Unlock()
 		return
 	}
-	if driver != nil {
-		j.sims = driver.SimCount()
-		m.simsTotal += int64(driver.SimCount())
+	if rep != nil {
+		j.sims = rep.Sims
+		m.simsTotal += int64(rep.Sims)
 	}
 
 	// Classify the attempt's outcome.
@@ -784,7 +782,7 @@ func (m *Manager) Cancel(id string) (*JobStatus, error) {
 			}
 		}
 		m.mu.Unlock()
-		m.finish(j, nil, nil, context.Canceled)
+		m.finish(j, nil, context.Canceled)
 		return m.Status(id)
 	}
 	cancel := j.cancel

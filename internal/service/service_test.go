@@ -173,6 +173,9 @@ func TestJobLifecycle(t *testing.T) {
 	if rep.System != "svc-tiny" || rep.Schema != report.JSONSchema {
 		t.Fatalf("report header: system=%q schema=%d", rep.System, rep.Schema)
 	}
+	if final.Sims != rep.Sims {
+		t.Fatalf("status says %d sims, the report %d", final.Sims, rep.Sims)
+	}
 	if len(rep.DetectedBugs) == 0 || rep.DetectedBugs[0] != "SVCT-1" {
 		t.Fatalf("detected bugs = %v, want [SVCT-1]", rep.DetectedBugs)
 	}
@@ -357,6 +360,39 @@ func TestCancelQueuedJob(t *testing.T) {
 	// Cancelling a terminal job is a no-op.
 	if st, err := m.Cancel(a.ID); err != nil || st.State != StateSucceeded {
 		t.Fatalf("cancel of finished job: state=%v err=%v", st.State, err)
+	}
+}
+
+// TestCancelRunningJobKeepsPartialReport: a job cancelled mid-campaign
+// finishes as cancelled with the partial report the campaign returned,
+// and its status counts exactly the simulations that report does.
+func TestCancelRunningJobKeepsPartialReport(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1})
+	reached, release := holdAtRound(m, 1)
+	spec := tinySpec(7)
+	spec.WaveSize = 2
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	final, err := m.Await(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateCancelled {
+		t.Fatalf("state = %s (%s), want cancelled", final.State, final.Error)
+	}
+	rep, _, err := m.Report(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Sims == 0 || final.Sims != rep.Sims {
+		t.Fatalf("status says %d sims, the partial report %d", final.Sims, rep.Sims)
 	}
 }
 
