@@ -4,17 +4,21 @@
 // the causal graphs campaigns accumulate become served, mergeable
 // artifacts.
 //
-// The package splits into four layers:
+// The package splits by file:
 //
 //   - api.go: the wire types (campaign specs, job status, stream events,
 //     merge requests) and their resolution into campaign options;
-//   - jobs.go + events.go: the job manager -- a priority queue of
-//     campaign jobs over a bounded worker-token pool, with per-job
-//     cancellation, crash isolation, and a round fan-out to subscribers;
+//   - jobs.go: the job manager -- a priority queue of campaign jobs over
+//     a bounded worker-token pool, with per-job cancellation, crash
+//     isolation, retries, and the one state-transition function;
+//   - events.go: the subscriber fan-out that job events and monitor
+//     alerts share, and the SSE writer of both stream endpoints;
+//   - journal.go + recovery.go: durability -- the fsynced job journal
+//     with its side files, and the boot-time replay;
 //   - store.go: the graph artifact store (persisted schema-v1 graph
 //     JSON, served and merged by id);
 //   - monitors.go: online cascade monitors -- internal/monitor engines
-//     ingesting JSONL trace batches over HTTP, with SSE alert fan-out;
+//     ingesting JSONL trace batches over HTTP, alerting over SSE;
 //   - server.go + metrics.go: the HTTP surface (REST + SSE + /metrics).
 package service
 
@@ -159,6 +163,10 @@ func (s JobState) Terminal() bool {
 	return s == StateSucceeded || s == StateFailed || s == StateCancelled
 }
 
+// endsStream reports whether entering the state closes the job's event
+// streams: terminal, or interrupted (the daemon is going down).
+func (s JobState) endsStream() bool { return s.Terminal() || s == StateInterrupted }
+
 // JobStatus is the GET /v1/campaigns/{id} response: job identity and
 // lifecycle plus the detection progress so far (for anytime jobs, the
 // rounds stream even while the campaign is still running).
@@ -208,8 +216,8 @@ type Event struct {
 	Job  string `json:"job"`
 	// Round is set for "round" events.
 	Round *report.JSONRound `json:"round,omitempty"`
-	// State and Error are set for "state" events; Attempt additionally on
-	// retry transitions (running -> queued).
+	// State, Error and Attempt are set for "state" events; Attempt tells a
+	// retry transition (running -> queued) from the initial queueing.
 	State   JobState `json:"state,omitempty"`
 	Error   string   `json:"error,omitempty"`
 	Attempt int      `json:"attempt,omitempty"`

@@ -27,6 +27,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,8 +101,8 @@ var (
 )
 
 // Job is one campaign job. All mutable fields are guarded by the
-// manager's mutex; Done is closed exactly once, on entry to a terminal
-// state.
+// manager's mutex and state is written by Manager.transition alone; done
+// is closed exactly once, on entry to a terminal state.
 type Job struct {
 	ID   string
 	Spec CampaignSpec
@@ -113,32 +114,74 @@ type Job struct {
 	finished time.Time
 	seq      int // submission order, the FIFO key within a priority
 
-	cancel context.CancelFunc
-
-	attempt     int
+	// Scoped to the running attempt (retryTimer: to the backoff wait after
+	// a failed one); transition drops them when the job moves on.
+	cancel      context.CancelFunc
 	deadline    time.Time
 	deadlineHit bool
-	userCancel  bool
-	recovered   bool
 	retryTimer  *time.Timer
-	ckpt        *csnake.Checkpoint
-	reportFile  string
+
+	attempt    int
+	userCancel bool
+	recovered  bool
+	ckpt       *csnake.Checkpoint
+	reportFile string
 
 	rounds       []report.JSONRound
-	rep          *csnake.Report
 	json         *report.JSONReport
 	bugs         []sysreg.Bug
 	graphID      string
 	earlyStopped bool
 	sims         int
 
-	// emitMu serializes event emission for this job: publish's fan-out,
-	// Subscribe's backlog replay, and closeSubs' channel closes. Lock
-	// order: emitMu strictly before Manager.mu. It exists so offers to
-	// subscriber channels happen outside the manager-wide lock.
-	emitMu sync.Mutex
-	subs   []*subscriber
+	// events carries drop debt on Event.Dropped.
+	events fanout[Event]
 	done   chan struct{}
+}
+
+// newJob builds a queued job, for Submit and the journal replay.
+func newJob(id string, seq int, spec CampaignSpec, created time.Time) *Job {
+	return &Job{
+		ID: id, Spec: spec, state: StateQueued, created: created, seq: seq,
+		events: fanout[Event]{debt: func(ev Event, n int) Event { ev.Dropped = n; return ev }},
+		done:   make(chan struct{}),
+	}
+}
+
+// submitRecord renders the journal "submit" record (immutable fields).
+func (j *Job) submitRecord() journalRecord {
+	spec := j.Spec
+	return journalRecord{T: "submit", Job: j.ID, Seq: j.seq, Spec: &spec, Created: j.created}
+}
+
+// stateRecordLocked renders the journal "state" record; at is now for a
+// transition, the finish time for a snapshot. Caller holds m.mu.
+func (j *Job) stateRecordLocked(at time.Time) journalRecord {
+	return journalRecord{
+		T: "state", Job: j.ID, State: j.state, Error: j.err, Attempt: j.attempt, At: at,
+		GraphID: j.graphID, Report: j.reportFile, Sims: j.sims, EarlyStopped: j.earlyStopped,
+	}
+}
+
+// stateEventLocked renders the "state" stream event, live or replayed to
+// a late subscriber. Caller holds m.mu.
+func (j *Job) stateEventLocked() Event {
+	return Event{Type: "state", Job: j.ID, State: j.state, Error: j.err, Attempt: j.attempt}
+}
+
+// putRound records a sealed round, live or replayed, under its 1-based
+// number: a resumed campaign continues after the restored prefix, a
+// retried one starts over at round 1. Caller holds m.mu.
+func (j *Job) putRound(jr report.JSONRound) {
+	if jr.Round >= 1 && jr.Round <= len(j.rounds)+1 {
+		j.rounds = j.rounds[:jr.Round-1]
+	}
+	j.rounds = append(j.rounds, jr)
+}
+
+// ahead reports whether a dispatches before b: priority, then seniority.
+func ahead(a, b *Job) bool {
+	return a.Spec.Priority > b.Spec.Priority || (a.Spec.Priority == b.Spec.Priority && a.seq < b.seq)
 }
 
 // Manager owns the job table, the run queue, and the shared worker pool.
@@ -188,9 +231,7 @@ type Manager struct {
 	// lifetime counters for /metrics
 	simsTotal         int64
 	roundsTotal       int64
-	succeeded         int
-	failed            int
-	cancelled         int
+	terminal          map[JobState]int // jobs that reached each terminal state
 	retries           int64
 	resumed           int64
 	panics            int64
@@ -214,6 +255,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		store:     store,
 		start:     time.Now(),
 		jobs:      make(map[string]*Job),
+		terminal:  make(map[JobState]int),
 		mons:      make(map[string]*monitorRuntime),
 		stopWatch: make(chan struct{}),
 	}
@@ -256,19 +298,18 @@ func (m *Manager) jlog(rec journalRecord) {
 }
 
 // compactJournal rewrites the journal to the minimal record set that
-// reproduces the current job table. jmu blocks concurrent appends for
-// the duration, so no record written after the snapshot can be lost.
+// reproduces the current tables (at boot, and past the high-water mark).
+// jmu blocks appends meanwhile, so no later record can be lost.
 func (m *Manager) compactJournal() {
-	if m.jl == nil {
-		return
-	}
 	m.jmu.Lock()
 	defer m.jmu.Unlock()
 	m.mu.Lock()
 	recs := m.snapshotRecordsLocked()
 	m.mu.Unlock()
 	m.monMu.Lock()
-	recs = append(recs, m.monitorRecordsLocked()...)
+	for _, id := range m.monOrder {
+		recs = append(recs, m.mons[id].createRecord())
+	}
 	m.monMu.Unlock()
 	if err := m.jl.rewrite(recs); err != nil {
 		log.Printf("csnaked: journal compaction: %v", err)
@@ -283,8 +324,7 @@ func (m *Manager) snapshotRecordsLocked() []journalRecord {
 	var recs []journalRecord
 	for _, id := range m.order {
 		j := m.jobs[id]
-		spec := j.Spec
-		recs = append(recs, journalRecord{T: "submit", Job: j.ID, Seq: j.seq, Spec: &spec, Created: j.created})
+		recs = append(recs, j.submitRecord())
 		if !j.state.Terminal() {
 			for i := range j.rounds {
 				r := j.rounds[i]
@@ -294,11 +334,7 @@ func (m *Manager) snapshotRecordsLocked() []journalRecord {
 				recs = append(recs, journalRecord{T: "ckpt", Job: j.ID, Rounds: j.ckpt.Rounds})
 			}
 		}
-		recs = append(recs, journalRecord{
-			T: "state", Job: j.ID, State: j.state, Error: j.err, Attempt: j.attempt,
-			At: j.finished, GraphID: j.graphID, Report: j.reportFile,
-			Sims: j.sims, EarlyStopped: j.earlyStopped,
-		})
+		recs = append(recs, j.stateRecordLocked(j.finished))
 	}
 	return recs
 }
@@ -327,24 +363,14 @@ func (m *Manager) Submit(spec CampaignSpec) (*JobStatus, error) {
 		return nil, fmt.Errorf("%w (%d/%d tokens held)", ErrOverloaded, m.pool.InUse(), m.pool.Cap())
 	}
 	m.nextID++
-	j := &Job{
-		ID:      fmt.Sprintf("job-%d", m.nextID),
-		Spec:    spec,
-		state:   StateQueued,
-		created: time.Now(),
-		seq:     m.nextID,
-		done:    make(chan struct{}),
-	}
+	j := newJob(fmt.Sprintf("job-%d", m.nextID), m.nextID, spec, time.Now())
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.mu.Unlock()
 	// Journal the submission before the job becomes runnable, so no
 	// state record can ever precede its submit record.
-	m.jlog(journalRecord{T: "submit", Job: j.ID, Seq: j.seq, Spec: &spec, Created: j.created})
-	m.mu.Lock()
-	m.queue = append(m.queue, j)
-	m.mu.Unlock()
-	m.schedule()
+	m.jlog(j.submitRecord())
+	m.enqueue(j)
 	return m.Status(j.ID)
 }
 
@@ -358,20 +384,10 @@ func (m *Manager) schedule() {
 		}
 		j := m.popBest()
 		m.running++
-		j.state = StateRunning
-		j.attempt++
-		j.deadlineHit = false
-		if j.started.IsZero() {
-			j.started = time.Now()
-		}
-		if j.Spec.DeadlineMS > 0 {
-			j.deadline = time.Now().Add(time.Duration(j.Spec.DeadlineMS) * time.Millisecond)
-		}
 		ctx, cancel := context.WithCancel(context.Background())
 		j.cancel = cancel
-		att := j.attempt
-		m.mu.Unlock()
-		m.jlog(journalRecord{T: "state", Job: j.ID, State: StateRunning, Attempt: att, At: time.Now()})
+		// A retry shows the last attempt's error until its own outcome.
+		m.transition(j, StateRunning, j.err) // releases m.mu
 		go m.runJob(j, ctx)
 	}
 }
@@ -380,14 +396,13 @@ func (m *Manager) schedule() {
 // job. Caller holds m.mu.
 func (m *Manager) popBest() *Job {
 	best := 0
-	for i, j := range m.queue[1:] {
-		b := m.queue[best]
-		if j.Spec.Priority > b.Spec.Priority || (j.Spec.Priority == b.Spec.Priority && j.seq < b.seq) {
-			best = i + 1
+	for i, j := range m.queue {
+		if ahead(j, m.queue[best]) {
+			best = i
 		}
 	}
 	j := m.queue[best]
-	m.queue = append(m.queue[:best], m.queue[best+1:]...)
+	m.queue = slices.Delete(m.queue, best, best+1)
 	return j
 }
 
@@ -485,176 +500,159 @@ func (m *Manager) saveCheckpoint(j *Job, cp *csnake.Checkpoint) {
 // capped at 5s.
 func (m *Manager) retryBackoff(attempt int) time.Duration {
 	d := m.cfg.RetryBase
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && d < 5*time.Second; i++ {
 		d *= 2
-		if d >= 5*time.Second {
-			return 5 * time.Second
-		}
 	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	return d
+	return min(d, 5*time.Second)
 }
 
-// requeue returns a retry-waiting job to the run queue once its backoff
-// elapses.
-func (m *Manager) requeue(j *Job) {
+// enqueue puts a waiting job -- a fresh submission, or a retry whose
+// backoff elapsed -- on the run queue, unless a cancel got to it first,
+// and starts what fits.
+func (m *Manager) enqueue(j *Job) {
 	m.mu.Lock()
-	j.retryTimer = nil
-	if j.state != StateQueued {
-		m.mu.Unlock()
-		return
+	if j.state == StateQueued && !slices.Contains(m.queue, j) {
+		m.queue = append(m.queue, j)
 	}
-	for _, q := range m.queue {
-		if q == j {
-			m.mu.Unlock()
-			return
-		}
-	}
-	m.queue = append(m.queue, j)
 	m.mu.Unlock()
 	m.schedule()
 }
 
-// finish routes a completed attempt: success, failure (with retry when
-// attempts remain), cancellation, or -- during a graceful drain --
-// interruption, which journals the job for resume at next boot instead
-// of closing it. Terminal transitions persist the report, drop the
-// resume checkpoint, and notify subscribers. Safe to call once per
-// attempt; calls racing a terminal state are ignored.
+// finish settles a completed attempt: it classifies the outcome --
+// success, failure (retried while attempts remain), cancellation, or,
+// during a graceful drain, interruption, which leaves the job journaled
+// for resume at the next boot -- persists a succeeded job's report and
+// graph, and makes the transition. Only runJob moves a running job, once
+// per attempt, so the state holds across the unlocked persistence step.
 func (m *Manager) finish(j *Job, rep *csnake.Report, err error) {
 	m.mu.Lock()
+	var to JobState
+	var errMsg string
+	switch {
+	case err == nil:
+		to = StateSucceeded
+	case errors.Is(err, context.Canceled) && j.deadlineHit:
+		to, errMsg = StateFailed, "deadline_exceeded"
+	case errors.Is(err, context.Canceled) && m.draining && !j.userCancel:
+		to, errMsg = StateInterrupted, "interrupted by shutdown"
+	case errors.Is(err, context.Canceled):
+		to, errMsg = StateCancelled, err.Error()
+	default:
+		to, errMsg = StateFailed, err.Error()
+	}
+	// Failed with attempts remaining: back off and retry (unless the
+	// service is draining or the user cancelled mid-failure).
+	if to == StateFailed && !m.draining && !j.userCancel && j.attempt < j.Spec.MaxAttempts {
+		to = StateQueued
+	}
+	var js *report.JSONReport
+	if rep != nil {
+		j.sims = rep.Sims
+		m.simsTotal += int64(rep.Sims)
+		if to.Terminal() {
+			js = report.NewJSON(rep, j.bugs)
+			spliceRecoveredRounds(js, j.rounds)
+		}
+	}
+	m.mu.Unlock()
+
+	var graphID, reportFile string
+	if to == StateSucceeded {
+		if rep.Graph != nil {
+			if art, perr := m.store.Put("campaign:"+j.ID, rep.Graph); perr == nil {
+				graphID = art.Info.ID
+			}
+		}
+		if m.jl != nil {
+			if data, jerr := json.Marshal(js); jerr == nil {
+				if name, werr := m.jl.writeReport(j.ID, data); werr == nil {
+					reportFile = name
+				}
+			}
+		}
+	}
+
+	m.mu.Lock()
+	if js != nil {
+		j.json, j.earlyStopped = js, rep.EarlyStopped
+		j.graphID, j.reportFile = graphID, reportFile
+	}
+	m.transition(j, to, errMsg) // releases m.mu
+}
+
+// transition moves j into state to; it is the only writer of Job.state
+// outside recover's journal fold. The caller holds m.mu -- so what it
+// decided the move on still holds -- and transition releases it. Under
+// the lock: state, error, timestamps, the attempt- and backoff-scoped
+// fields (a move to queued is always a retry), the lifetime counters.
+// Then, in order: a terminal job's resume checkpoint goes, the record is
+// journaled, the event published (a start has none), the streams and a
+// terminal job's done closed. Terminal jobs stay put: exactly once.
+func (m *Manager) transition(j *Job, to JobState, errMsg string) {
 	if j.state.Terminal() {
 		m.mu.Unlock()
 		return
 	}
-	if rep != nil {
-		j.sims = rep.Sims
-		m.simsTotal += int64(rep.Sims)
+	now := time.Now()
+	if j.state == StateRunning {
+		j.cancel, j.deadline, j.deadlineHit = nil, time.Time{}, false
 	}
-
-	// Classify the attempt's outcome.
-	var state JobState
+	if t := j.retryTimer; t != nil {
+		t.Stop()
+		j.retryTimer = nil
+	}
+	j.state = to
+	j.err = errMsg
 	switch {
-	case err == nil:
-		state = StateSucceeded
-		j.err = ""
-	case errors.Is(err, context.Canceled) && j.deadlineHit:
-		state = StateFailed
-		j.err = "deadline_exceeded"
-	case errors.Is(err, context.Canceled) && m.draining && !j.userCancel:
-		state = StateInterrupted
-		j.err = "interrupted by shutdown"
-	case errors.Is(err, context.Canceled):
-		state = StateCancelled
-		j.err = err.Error()
-	default:
-		state = StateFailed
-		j.err = err.Error()
-	}
-
-	// Interrupted: journal and stop, but stay non-terminal -- the next
-	// boot re-queues the job and it resumes from its last checkpoint.
-	if state == StateInterrupted {
-		j.state = StateInterrupted
-		j.cancel = nil
-		id, errMsg, att, sims := j.ID, j.err, j.attempt, j.sims
-		m.mu.Unlock()
-		m.jlog(journalRecord{T: "state", Job: id, State: StateInterrupted, Error: errMsg, Attempt: att, Sims: sims, At: time.Now()})
-		m.publish(j, Event{Type: "state", Job: id, State: StateInterrupted, Error: errMsg, Attempt: att})
-		m.closeSubs(j)
-		return
-	}
-
-	// Failed with attempts remaining: back off and retry (unless the
-	// service is draining or the user cancelled mid-failure).
-	if state == StateFailed && !m.draining && !j.userCancel && j.attempt < j.Spec.MaxAttempts {
-		j.state = StateQueued
-		j.cancel = nil
+	case to == StateRunning:
+		j.attempt++
+		if j.started.IsZero() {
+			j.started = now
+		}
+		if j.Spec.DeadlineMS > 0 {
+			j.deadline = now.Add(time.Duration(j.Spec.DeadlineMS) * time.Millisecond)
+		}
+	case to == StateQueued:
 		m.retries++
-		backoff := m.retryBackoff(j.attempt)
-		j.retryTimer = time.AfterFunc(backoff, func() { m.requeue(j) })
-		id, errMsg, att := j.ID, j.err, j.attempt
-		m.mu.Unlock()
-		m.jlog(journalRecord{T: "state", Job: id, State: StateQueued, Error: errMsg, Attempt: att, At: time.Now()})
-		m.publish(j, Event{Type: "state", Job: id, State: StateQueued, Error: errMsg, Attempt: att})
-		return
+		j.retryTimer = time.AfterFunc(m.retryBackoff(j.attempt), func() { m.enqueue(j) })
+	case to.Terminal():
+		j.finished = now
+		m.terminal[to]++
 	}
-
-	j.state = state
-	switch state {
-	case StateSucceeded:
-		m.succeeded++
-	case StateFailed:
-		m.failed++
-	case StateCancelled:
-		m.cancelled++
-	}
-	j.finished = time.Now()
-	if rep != nil {
-		j.rep = rep
-		j.earlyStopped = rep.EarlyStopped
-		j.json = report.NewJSON(rep, j.bugs)
-		m.spliceRecoveredRoundsLocked(j)
-	}
-	var toStore *csnake.Report
-	if j.state == StateSucceeded && rep != nil && rep.Graph != nil {
-		toStore = rep
-	}
-	st, errMsg, id, att := j.state, j.err, j.ID, j.attempt
-	js := j.json
+	rec, ev := j.stateRecordLocked(now), j.stateEventLocked()
 	m.mu.Unlock()
 
-	if toStore != nil {
-		if art, perr := m.store.Put("campaign:"+id, toStore.Graph); perr == nil {
-			m.mu.Lock()
-			j.graphID = art.Info.ID
-			m.mu.Unlock()
-		}
+	if to.Terminal() && m.jl != nil {
+		m.jl.removeCheckpoint(j.ID)
 	}
-	if m.jl != nil {
-		if st == StateSucceeded && js != nil {
-			if data, jerr := json.Marshal(js); jerr == nil {
-				if name, werr := m.jl.writeReport(id, data); werr == nil {
-					m.mu.Lock()
-					j.reportFile = name
-					m.mu.Unlock()
-				}
-			}
-		}
-		m.jl.removeCheckpoint(id)
-	}
-	m.mu.Lock()
-	rec := journalRecord{
-		T: "state", Job: id, State: st, Error: errMsg, Attempt: att, At: j.finished,
-		GraphID: j.graphID, Report: j.reportFile, Sims: j.sims, EarlyStopped: j.earlyStopped,
-	}
-	m.mu.Unlock()
 	m.jlog(rec)
-	m.publish(j, Event{Type: "state", Job: id, State: st, Error: errMsg, Attempt: att})
-	m.closeSubs(j)
-	close(j.done)
+	if to != StateRunning {
+		j.events.publish(ev, nil)
+	}
+	if to.endsStream() {
+		j.events.close()
+	}
+	if to.Terminal() {
+		close(j.done)
+	}
 }
 
-// spliceRecoveredRoundsLocked completes a resumed job's report: the
-// campaign only re-ran rounds after the checkpoint, so the rounds the
-// journal preserved from before the crash are spliced back in front.
-// The spliced sequence is exactly what an uninterrupted run would have
-// produced (both encodings are pure functions of identical rounds).
-// Caller holds m.mu.
-func (m *Manager) spliceRecoveredRoundsLocked(j *Job) {
-	js := j.json
-	if js == nil || len(j.rounds) == 0 {
+// spliceRecoveredRounds completes a resumed job's report: the campaign
+// only re-ran rounds after the checkpoint, so the rounds the journal
+// preserved from before the crash are spliced back in front. The spliced
+// sequence is exactly what an uninterrupted run would have produced
+// (both encodings are pure functions of identical rounds).
+func spliceRecoveredRounds(js *report.JSONReport, rounds []report.JSONRound) {
+	if len(rounds) == 0 {
 		return
 	}
 	if len(js.Rounds) == 0 {
 		// The resumed campaign ran no new rounds (e.g. it crashed after
 		// the round that satisfied early stopping): the journal's rounds
 		// are the whole trajectory.
-		js.Rounds = append([]report.JSONRound(nil), j.rounds...)
-	} else if first := js.Rounds[0].Round; first > 1 && first-1 <= len(j.rounds) {
-		js.Rounds = append(append([]report.JSONRound(nil), j.rounds[:first-1]...), js.Rounds...)
+		js.Rounds = append([]report.JSONRound(nil), rounds...)
+	} else if first := js.Rounds[0].Round; first > 1 && first-1 <= len(rounds) {
+		js.Rounds = append(append([]report.JSONRound(nil), rounds[:first-1]...), js.Rounds...)
 	}
 	if js.Budget == 0 && len(js.Rounds) > 0 {
 		js.Budget = js.Rounds[len(js.Rounds)-1].Budget
@@ -673,21 +671,30 @@ func (m *Manager) watchdog() {
 			return
 		case <-t.C:
 			now := time.Now()
-			var cancels []context.CancelFunc
-			m.mu.Lock()
-			for _, j := range m.jobs {
-				if j.state == StateRunning && !j.deadline.IsZero() && now.After(j.deadline) && !j.deadlineHit {
-					j.deadlineHit = true
-					if j.cancel != nil {
-						cancels = append(cancels, j.cancel)
-					}
+			m.cancelRunning(func(j *Job) bool {
+				if j.deadlineHit || j.deadline.IsZero() || !now.After(j.deadline) {
+					return false
 				}
-			}
-			m.mu.Unlock()
-			for _, c := range cancels {
-				c()
-			}
+				j.deadlineHit = true
+				return true
+			})
 		}
+	}
+}
+
+// cancelRunning cancels every running campaign (cancel is set exactly
+// while a job runs) that pick, called under m.mu, selects.
+func (m *Manager) cancelRunning(pick func(*Job) bool) {
+	var cancels []context.CancelFunc
+	m.mu.Lock()
+	for _, j := range m.jobs {
+		if j.cancel != nil && pick(j) {
+			cancels = append(cancels, j.cancel)
+		}
+	}
+	m.mu.Unlock()
+	for _, c := range cancels {
+		c()
 	}
 }
 
@@ -696,18 +703,7 @@ func (m *Manager) watchdog() {
 // finish as interrupted, resumable from their last sealed round at the
 // next boot. Drain returns once no job is running, or with ctx's error.
 func (m *Manager) Drain(ctx context.Context) error {
-	m.mu.Lock()
-	m.draining = true
-	var cancels []context.CancelFunc
-	for _, j := range m.jobs {
-		if j.state == StateRunning && j.cancel != nil {
-			cancels = append(cancels, j.cancel)
-		}
-	}
-	m.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
+	m.stopAll()
 	for {
 		m.mu.Lock()
 		n := m.running
@@ -743,18 +739,16 @@ func (m *Manager) HardStop() {
 		m.jl.disable()
 	}
 	m.closeOnce.Do(func() { close(m.stopWatch) })
+	m.stopAll()
+}
+
+// stopAll closes admissions (nothing starts once draining is set), then
+// cancels every running campaign.
+func (m *Manager) stopAll() {
 	m.mu.Lock()
 	m.draining = true
-	var cancels []context.CancelFunc
-	for _, j := range m.jobs {
-		if j.cancel != nil {
-			cancels = append(cancels, j.cancel)
-		}
-	}
 	m.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
+	m.cancelRunning(func(*Job) bool { return true })
 }
 
 // Cancel cancels a job: a queued job (including one waiting out a retry
@@ -770,25 +764,14 @@ func (m *Manager) Cancel(id string) (*JobStatus, error) {
 		return nil, errUnknownJob(id)
 	}
 	j.userCancel = true
-	if t := j.retryTimer; t != nil {
-		t.Stop()
-		j.retryTimer = nil
-	}
-	if j.state == StateQueued {
-		for i, q := range m.queue {
-			if q == j {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				break
-			}
-		}
+	if cancel := j.cancel; j.state == StateQueued {
+		m.queue = slices.DeleteFunc(m.queue, func(q *Job) bool { return q == j })
+		m.transition(j, StateCancelled, context.Canceled.Error()) // releases m.mu
+	} else {
 		m.mu.Unlock()
-		m.finish(j, nil, context.Canceled)
-		return m.Status(id)
-	}
-	cancel := j.cancel
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
+		if cancel != nil {
+			cancel()
+		}
 	}
 	return m.Status(id)
 }
@@ -852,34 +835,28 @@ func (m *Manager) statusLocked(j *Job) *JobStatus {
 	}
 	if j.state == StateQueued {
 		// Position among waiting jobs in dispatch order.
-		pos := 1
+		st.QueuePosition = 1
 		for _, q := range m.queue {
-			if q == j {
-				continue
-			}
-			if q.Spec.Priority > j.Spec.Priority || (q.Spec.Priority == j.Spec.Priority && q.seq < j.seq) {
-				pos++
+			if ahead(q, j) {
+				st.QueuePosition++
 			}
 		}
-		st.QueuePosition = pos
 	}
 	return st
 }
 
 // Report returns the finished job's machine-readable report.
 func (m *Manager) Report(id string) (*report.JSONReport, *JobStatus, error) {
-	st, err := m.Status(id)
-	if err != nil {
-		return nil, nil, err
-	}
 	m.mu.Lock()
-	j := m.jobs[id]
-	rj := j.json
-	m.mu.Unlock()
-	if rj == nil {
-		return nil, st, fmt.Errorf("job %s has no report (state %s)", id, st.State)
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	if !ok {
+		return nil, nil, errUnknownJob(id)
 	}
-	return rj, st, nil
+	if j.json == nil {
+		return nil, m.statusLocked(j), fmt.Errorf("job %s has no report (state %s)", id, j.state)
+	}
+	return j.json, m.statusLocked(j), nil
 }
 
 // jobObserver bridges campaign events into the job: it captures the
@@ -895,18 +872,11 @@ type jobObserver struct {
 func (o *jobObserver) RoundCompleted(r csnake.Round) {
 	jr := report.JSONRoundOf(r, o.j.bugs)
 	o.m.mu.Lock()
-	// Rounds index by their 1-based number: a resumed campaign continues
-	// after the journal-restored prefix, a retried one starts over at
-	// round 1 (truncating the failed attempt's trajectory).
-	if jr.Round >= 1 && jr.Round <= len(o.j.rounds)+1 {
-		o.j.rounds = append(o.j.rounds[:jr.Round-1], jr)
-	} else {
-		o.j.rounds = append(o.j.rounds, jr)
-	}
+	o.j.putRound(jr)
 	o.m.roundsTotal++
 	o.m.mu.Unlock()
 	o.m.jlog(journalRecord{T: "round", Job: o.j.ID, Round: &jr})
-	o.m.publish(o.j, Event{Type: "round", Job: o.j.ID, Round: &jr})
+	o.j.events.publish(Event{Type: "round", Job: o.j.ID, Round: &jr}, nil)
 	if h := o.m.roundHook; h != nil {
 		h(o.j, jr.Round)
 	}

@@ -47,9 +47,9 @@ func (m *Manager) Snapshot() Metrics {
 	s := Metrics{
 		JobsRunning:       m.running,
 		JobsQueued:        len(m.queue),
-		JobsSucceeded:     m.succeeded,
-		JobsFailed:        m.failed,
-		JobsCancelled:     m.cancelled,
+		JobsSucceeded:     m.terminal[StateSucceeded],
+		JobsFailed:        m.terminal[StateFailed],
+		JobsCancelled:     m.terminal[StateCancelled],
 		SimsTotal:         m.simsTotal,
 		RoundsTotal:       m.roundsTotal,
 		JobsRetried:       m.retries,

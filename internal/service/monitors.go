@@ -9,10 +9,9 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/monitor"
@@ -22,15 +21,9 @@ import (
 // the oldest alerts are dropped (their Seq numbers expose the gap).
 const monitorBacklog = 1024
 
-// alertSub is one SSE subscriber of a monitor's alert stream.
-type alertSub struct {
-	ch      chan monitor.Alert
-	dropped int // alerts lost to backpressure (slow consumer)
-}
-
 // monitorRuntime pairs a monitor engine with its service identity and
-// alert fan-out. The engine serializes ingestion itself; mu only guards
-// the backlog and subscriber list.
+// alert fan-out. The engine serializes ingestion itself; the fan-out's
+// mutex also guards the replay backlog.
 type monitorRuntime struct {
 	id      string
 	seq     int
@@ -38,10 +31,9 @@ type monitorRuntime struct {
 	created time.Time
 	mon     *monitor.Monitor
 
-	mu     sync.Mutex
+	// No drop debt: a lost alert shows as a gap in the Seq numbers.
+	fan    fanout[monitor.Alert]
 	alerts []monitor.Alert
-	subs   []*alertSub
-	closed bool
 }
 
 func newMonitorRuntime(id string, seq int, spec MonitorSpec, created time.Time) *monitorRuntime {
@@ -54,62 +46,27 @@ func newMonitorRuntime(id string, seq int, spec MonitorSpec, created time.Time) 
 	return rt
 }
 
+// createRecord renders the monitor's journal "mon-create" record.
+func (rt *monitorRuntime) createRecord() journalRecord {
+	spec := rt.spec
+	return journalRecord{T: "mon-create", Job: rt.id, Seq: rt.seq, Created: rt.created, MonSpec: &spec}
+}
+
 // onAlert records the alert in the replay backlog and offers it to every
 // live subscriber without blocking (a slow consumer drops alerts, never
 // stalls ingestion).
 func (rt *monitorRuntime) onAlert(a monitor.Alert) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.alerts = append(rt.alerts, a)
-	if len(rt.alerts) > monitorBacklog {
-		rt.alerts = rt.alerts[len(rt.alerts)-monitorBacklog:]
-	}
-	for _, s := range rt.subs {
-		select {
-		case s.ch <- a:
-		default:
-			s.dropped++
+	rt.fan.publish(a, func() {
+		rt.alerts = append(rt.alerts, a)
+		if len(rt.alerts) > monitorBacklog {
+			rt.alerts = rt.alerts[len(rt.alerts)-monitorBacklog:]
 		}
-	}
+	})
 }
 
-// subscribe snapshots the alert backlog and, when follow is set,
-// registers a live channel. The unsubscribe func is a no-op for
-// non-follow subscriptions.
-func (rt *monitorRuntime) subscribe(buffer int, follow bool) (backlog []monitor.Alert, ch chan monitor.Alert, unsubscribe func()) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	backlog = append([]monitor.Alert(nil), rt.alerts...)
-	if !follow || rt.closed {
-		return backlog, nil, func() {}
-	}
-	s := &alertSub{ch: make(chan monitor.Alert, buffer)}
-	rt.subs = append(rt.subs, s)
-	return backlog, s.ch, func() {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		for i, q := range rt.subs {
-			if q == s {
-				rt.subs = append(rt.subs[:i], rt.subs[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// close ends every subscriber stream; further subscriptions get only
-// the backlog.
-func (rt *monitorRuntime) close() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed {
-		return
-	}
-	rt.closed = true
-	for _, s := range rt.subs {
-		close(s.ch)
-	}
-	rt.subs = nil
+// subscribe attaches an alert stream: the backlog, then (follow) live.
+func (rt *monitorRuntime) subscribe(buffer int, follow bool) (<-chan monitor.Alert, func()) {
+	return rt.fan.subscribe(buffer, func() ([]monitor.Alert, bool) { return rt.alerts, follow })
 }
 
 func errUnknownMonitor(id string) error { return fmt.Errorf("unknown monitor %q", id) }
@@ -124,13 +81,11 @@ func (m *Manager) CreateMonitor(spec MonitorSpec) (*MonitorStatus, error) {
 	}
 	m.monMu.Lock()
 	m.monSeq++
-	seq := m.monSeq
-	rt := newMonitorRuntime(fmt.Sprintf("mon-%d", seq), seq, spec, time.Now())
+	rt := newMonitorRuntime(fmt.Sprintf("mon-%d", m.monSeq), m.monSeq, spec, time.Now())
 	m.mons[rt.id] = rt
 	m.monOrder = append(m.monOrder, rt.id)
 	m.monMu.Unlock()
-	sp := spec
-	m.jlog(journalRecord{T: "mon-create", Job: rt.id, Seq: seq, Created: rt.created, MonSpec: &sp})
+	m.jlog(rt.createRecord())
 	return m.monitorStatus(rt), nil
 }
 
@@ -138,22 +93,25 @@ func (m *Manager) CreateMonitor(spec MonitorSpec) (*MonitorStatus, error) {
 // the deletion. Its lifetime counters stay in /metrics.
 func (m *Manager) DeleteMonitor(id string) error {
 	m.monMu.Lock()
-	rt, ok := m.mons[id]
+	rt, ok := m.dropMonitorLocked(id)
+	m.monMu.Unlock()
 	if !ok {
-		m.monMu.Unlock()
 		return errUnknownMonitor(id)
 	}
-	delete(m.mons, id)
-	for i, q := range m.monOrder {
-		if q == id {
-			m.monOrder = append(m.monOrder[:i], m.monOrder[i+1:]...)
-			break
-		}
-	}
-	m.monMu.Unlock()
-	rt.close()
+	rt.fan.close()
 	m.jlog(journalRecord{T: "mon-delete", Job: id, Seq: rt.seq})
 	return nil
+}
+
+// dropMonitorLocked removes a monitor from the table and the listing
+// order, live or replaying a deletion. Caller holds monMu.
+func (m *Manager) dropMonitorLocked(id string) (*monitorRuntime, bool) {
+	rt, ok := m.mons[id]
+	if ok {
+		delete(m.mons, id)
+		m.monOrder = slices.DeleteFunc(m.monOrder, func(q string) bool { return q == id })
+	}
+	return rt, ok
 }
 
 // getMonitor looks a runtime up by id.
@@ -181,37 +139,30 @@ func (m *Manager) Monitors() []*MonitorStatus {
 	return out
 }
 
-// monitorRecordsLocked renders the monitor table as journal records for
-// compaction. Caller holds monMu.
-func (m *Manager) monitorRecordsLocked() []journalRecord {
-	var recs []journalRecord
-	for _, id := range m.monOrder {
-		rt := m.mons[id]
-		sp := rt.spec
-		recs = append(recs, journalRecord{T: "mon-create", Job: id, Seq: rt.seq, Created: rt.created, MonSpec: &sp})
+func (m *Manager) monitorStatus(rt *monitorRuntime) *MonitorStatus {
+	return &MonitorStatus{
+		ID:          rt.id,
+		Spec:        rt.spec,
+		Created:     rt.created,
+		Stats:       rt.mon.Stats(),
+		Subscribers: rt.fan.subscribers(),
 	}
-	return recs
 }
 
-func (m *Manager) monitorStatus(rt *monitorRuntime) *MonitorStatus {
-	st := &MonitorStatus{
-		ID:      rt.id,
-		Spec:    rt.spec,
-		Created: rt.created,
-		Stats:   rt.mon.Stats(),
+// monitorOr404 resolves the request's {id} to a monitor, answering 404
+// itself (and returning nil) when there is none.
+func (m *Manager) monitorOr404(w http.ResponseWriter, r *http.Request) *monitorRuntime {
+	rt, ok := m.getMonitor(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "%v", errUnknownMonitor(r.PathValue("id")))
+		return nil
 	}
-	rt.mu.Lock()
-	st.Subscribers = len(rt.subs)
-	rt.mu.Unlock()
-	return st
+	return rt
 }
 
 func (m *Manager) handleMonitorCreate(w http.ResponseWriter, r *http.Request) {
 	var spec MonitorSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad monitor spec: %v", err)
+	if !decodeBody(w, r, "monitor spec", &spec) {
 		return
 	}
 	st, err := m.CreateMonitor(spec)
@@ -227,21 +178,17 @@ func (m *Manager) handleMonitors(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleMonitorStatus(w http.ResponseWriter, r *http.Request) {
-	rt, ok := m.getMonitor(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "%v", errUnknownMonitor(r.PathValue("id")))
-		return
+	if rt := m.monitorOr404(w, r); rt != nil {
+		writeJSON(w, http.StatusOK, m.monitorStatus(rt))
 	}
-	writeJSON(w, http.StatusOK, m.monitorStatus(rt))
 }
 
 // handleMonitorIngest feeds the request body (JSONL trace records) into
 // the monitor and returns the batch summary, alerts included. Malformed
 // lines are counted in the response, never a request failure.
 func (m *Manager) handleMonitorIngest(w http.ResponseWriter, r *http.Request) {
-	rt, ok := m.getMonitor(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "%v", errUnknownMonitor(r.PathValue("id")))
+	rt := m.monitorOr404(w, r)
+	if rt == nil {
 		return
 	}
 	res, err := rt.mon.Ingest(r.Body)
@@ -261,57 +208,13 @@ func (m *Manager) handleMonitorIngest(w http.ResponseWriter, r *http.Request) {
 // the recorded backlog first, then live alerts as batches ingest.
 // ?follow=0 ends the stream after the backlog (for scripted consumers).
 func (m *Manager) handleMonitorAlerts(w http.ResponseWriter, r *http.Request) {
-	rt, ok := m.getMonitor(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "%v", errUnknownMonitor(r.PathValue("id")))
+	rt := m.monitorOr404(w, r)
+	if rt == nil {
 		return
 	}
-	flusher, okf := w.(http.Flusher)
-	if !okf {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	follow := r.URL.Query().Get("follow") != "0"
-	backlog, ch, unsubscribe := rt.subscribe(m.cfg.SubBuffer, follow)
+	ch, unsubscribe := rt.subscribe(m.cfg.SubBuffer, r.URL.Query().Get("follow") != "0")
 	defer unsubscribe()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	for _, a := range backlog {
-		if !writeAlertEvent(w, a) {
-			return
-		}
-	}
-	flusher.Flush()
-	if ch == nil {
-		return
-	}
-	for {
-		select {
-		case a, open := <-ch:
-			if !open {
-				return
-			}
-			if !writeAlertEvent(w, a) {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeAlertEvent writes one SSE "alert" event; false means the stream
-// is unwritable and the handler should end.
-func writeAlertEvent(w http.ResponseWriter, a monitor.Alert) bool {
-	data, err := json.Marshal(a)
-	if err != nil {
-		return false
-	}
-	_, err = fmt.Fprintf(w, "event: alert\ndata: %s\n\n", data)
-	return err == nil
+	streamSSE(w, r, ch, func(monitor.Alert) string { return "alert" })
 }
 
 func (m *Manager) handleMonitorDelete(w http.ResponseWriter, r *http.Request) {

@@ -33,7 +33,7 @@ func (m *Manager) recover() error {
 	}
 
 	// Fold the record stream into per-job state (last write wins; rounds
-	// truncate-append exactly as the live observer does, so a retried
+	// go through putRound as the live observer's do, so a retried
 	// attempt's rounds overwrite the failed one's).
 	ckptRounds := make(map[string]int)
 	for _, rec := range recs {
@@ -42,25 +42,22 @@ func (m *Manager) recover() error {
 			if _, ok := m.jobs[rec.Job]; ok || rec.Spec == nil {
 				continue // idempotence: duplicate submit records coalesce
 			}
-			j := &Job{
-				ID:      rec.Job,
-				Spec:    *rec.Spec,
-				state:   StateQueued,
-				created: rec.Created,
-				seq:     rec.Seq,
-				done:    make(chan struct{}),
-			}
+			j := newJob(rec.Job, rec.Seq, *rec.Spec, rec.Created)
 			m.jobs[j.ID] = j
 			m.order = append(m.order, j.ID)
-			if rec.Seq > m.nextID {
-				m.nextID = rec.Seq
-			}
+			m.nextID = max(m.nextID, rec.Seq)
 		case "state":
 			j, ok := m.jobs[rec.Job]
 			if !ok {
 				continue
 			}
-			j.state = rec.State
+			// Left running or interrupted: back on the queue, as resumed.
+			st := rec.State
+			j.recovered = st == StateRunning || st == StateInterrupted
+			if j.recovered {
+				st = StateQueued
+			}
+			j.state = st
 			j.err = rec.Error
 			j.attempt = rec.Attempt
 			if rec.State == StateRunning && j.started.IsZero() {
@@ -86,42 +83,20 @@ func (m *Manager) recover() error {
 			if !ok || rec.Round == nil {
 				continue
 			}
-			jr := *rec.Round
-			if jr.Round >= 1 && jr.Round <= len(j.rounds)+1 {
-				j.rounds = append(j.rounds[:jr.Round-1], jr)
-			} else {
-				j.rounds = append(j.rounds, jr)
-			}
+			j.putRound(*rec.Round)
 		case "ckpt":
-			if _, ok := m.jobs[rec.Job]; ok {
-				ckptRounds[rec.Job] = rec.Rounds
-			}
+			ckptRounds[rec.Job] = rec.Rounds
 		case "mon-create":
-			if rec.MonSpec == nil {
-				continue
-			}
-			if _, ok := m.mons[rec.Job]; ok {
+			if _, ok := m.mons[rec.Job]; ok || rec.MonSpec == nil {
 				continue // idempotence: duplicate create records coalesce
 			}
 			rt := newMonitorRuntime(rec.Job, rec.Seq, *rec.MonSpec, rec.Created)
 			m.mons[rt.id] = rt
 			m.monOrder = append(m.monOrder, rt.id)
-			if rec.Seq > m.monSeq {
-				m.monSeq = rec.Seq
-			}
+			m.monSeq = max(m.monSeq, rec.Seq)
 		case "mon-delete":
-			if _, ok := m.mons[rec.Job]; ok {
-				delete(m.mons, rec.Job)
-				for i, id := range m.monOrder {
-					if id == rec.Job {
-						m.monOrder = append(m.monOrder[:i], m.monOrder[i+1:]...)
-						break
-					}
-				}
-			}
-			if rec.Seq > m.monSeq {
-				m.monSeq = rec.Seq
-			}
+			m.dropMonitorLocked(rec.Job)
+			m.monSeq = max(m.monSeq, rec.Seq)
 		}
 	}
 
@@ -130,14 +105,7 @@ func (m *Manager) recover() error {
 	for _, id := range m.order {
 		j := m.jobs[id]
 		if j.state.Terminal() {
-			switch j.state {
-			case StateSucceeded:
-				m.succeeded++
-			case StateFailed:
-				m.failed++
-			case StateCancelled:
-				m.cancelled++
-			}
+			m.terminal[j.state]++
 			if data := m.jl.readReport(j.reportFile); data != nil {
 				var js report.JSONReport
 				if err := json.Unmarshal(data, &js); err == nil {
@@ -155,14 +123,11 @@ func (m *Manager) recover() error {
 		}
 
 		// The job was queued, running, or interrupted at the crash:
-		// re-queue it. Running/interrupted jobs count as resumed.
-		if j.state != StateQueued {
-			j.recovered = true
+		// re-queue it.
+		if j.recovered {
 			m.resumed++
 		}
-		j.state = StateQueued
 
-		resumable := false
 		if j.Spec.anytime() {
 			if data := m.jl.readCheckpoint(id); data != nil {
 				var cp csnake.Checkpoint
@@ -177,26 +142,20 @@ func (m *Manager) recover() error {
 				} else {
 					j.ckpt = &cp
 					j.rounds = j.rounds[:cp.Rounds]
-					resumable = true
 				}
 			}
 		}
-		if !resumable {
+		if j.ckpt == nil {
 			// Scratch re-run: the trajectory will be regenerated.
-			j.ckpt = nil
 			j.rounds = nil
 			m.jl.removeCheckpoint(id)
-		} else {
-			m.roundsTotal += int64(len(j.rounds))
 		}
+		m.roundsTotal += int64(len(j.rounds))
 		m.queue = append(m.queue, j)
 	}
 
 	// Rotate the replayed journal down to the minimal equivalent record
 	// set, so repeated crash/restart cycles don't grow it unboundedly.
-	recs = append(m.snapshotRecordsLocked(), m.monitorRecordsLocked()...)
-	if err := m.jl.rewrite(recs); err != nil {
-		log.Printf("csnaked: boot journal compaction: %v", err)
-	}
+	m.compactJournal()
 	return nil
 }

@@ -221,6 +221,103 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	m2.Await(st2.ID)
 }
 
+// fixtureJournal is a journal exactly as the daemon before the
+// one-transition refactor wrote it (every record carries both time
+// fields, zero or not): a finished anytime job, a job cancelled while it
+// waited out a retry, two monitors of which one was deleted, and the
+// torn line of a crash mid-append. It pins the on-disk format: what an
+// older daemon left must boot into the same tables.
+const fixtureJournal = `{"t":"submit","job":"job-1","seq":1,"spec":{"system":"svc-tiny","seed":7,"reps":3,"delayMagnitudesMs":[200,1000],"waveSize":4},"created":"2026-01-02T03:04:05.5Z","at":"0001-01-01T00:00:00Z"}
+{"t":"state","job":"job-1","created":"0001-01-01T00:00:00Z","state":"running","attempt":1,"at":"2026-01-02T03:04:06Z"}
+{"t":"round","job":"job-1","created":"0001-01-01T00:00:00Z","at":"0001-01-01T00:00:00Z","round":{"round":1,"phase":1,"runs":2,"spent":2,"budget":16,"newEdges":3,"touchedEdges":3,"touchedFaults":2,"cycles":3,"clusters":2,"detected":["SVCT-1"]}}
+{"t":"submit","job":"job-2","seq":2,"spec":{"system":"svc-tiny","maxAttempts":3,"priority":5},"created":"2026-01-02T03:04:06.5Z","at":"0001-01-01T00:00:00Z"}
+{"t":"round","job":"job-1","created":"0001-01-01T00:00:00Z","at":"0001-01-01T00:00:00Z","round":{"round":2,"phase":2,"runs":2,"spent":4,"budget":16,"newEdges":2,"touchedEdges":2,"touchedFaults":2,"cycles":13,"clusters":2,"detected":["SVCT-1"]}}
+{"t":"ckpt","job":"job-1","created":"0001-01-01T00:00:00Z","at":"0001-01-01T00:00:00Z","rounds":2}
+{"t":"state","job":"job-1","created":"0001-01-01T00:00:00Z","state":"succeeded","attempt":1,"at":"2026-01-02T03:04:07Z","graphId":"g1","report":"report-job-1.json","sims":24}
+{"t":"state","job":"job-2","created":"0001-01-01T00:00:00Z","state":"running","attempt":1,"at":"2026-01-02T03:04:07.5Z"}
+{"t":"state","job":"job-2","created":"0001-01-01T00:00:00Z","state":"queued","error":"campaign panicked: boom","attempt":1,"at":"2026-01-02T03:04:08Z"}
+{"t":"mon-create","job":"mon-1","seq":1,"created":"2026-01-02T03:04:09Z","at":"0001-01-01T00:00:00Z","monitor":{"name":"x","windowMs":1000,"buckets":4}}
+{"t":"mon-create","job":"mon-2","seq":2,"created":"2026-01-02T03:04:10Z","at":"0001-01-01T00:00:00Z","monitor":{}}
+{"t":"state","job":"job-2","created":"0001-01-01T00:00:00Z","state":"cancelled","error":"context canceled","attempt":1,"at":"2026-01-02T03:04:11Z"}
+{"t":"mon-delete","job":"mon-1","seq":1,"created":"0001-01-01T00:00:00Z","at":"0001-01-01T00:00:00Z"}
+{"t":"state","job":"job-2","created":"0001-01-`
+
+// fixtureReport is job-1's report side file, as that daemon wrote it.
+const fixtureReport = `{"schema":1,"system":"svc-tiny","faults":2,"budget":16,"experiments":4,"sims":24,"edges":5,"cycles":13,"clusters":[{"key":"g0,g1","bug":"SVCT-1","cycles":10,"best":{"score":0.5,"faults":["svct.worker.loop","svct.job.deadline_ioe"],"chain":"svct.worker.loop -E(D)-\u003e svct.job.deadline_ioe -S+(I)-\u003e svct.worker.loop"}},{"key":"g1","cycles":3,"best":{"score":1,"faults":["svct.job.deadline_ioe"],"chain":"svct.job.deadline_ioe -E(I)-\u003e svct.job.deadline_ioe"}}],"detectedBugs":["SVCT-1"],"rounds":[{"round":1,"phase":1,"runs":2,"spent":2,"budget":16,"newEdges":3,"touchedEdges":3,"touchedFaults":2,"cycles":3,"clusters":2,"detected":["SVCT-1"]},{"round":2,"phase":2,"runs":2,"spent":4,"budget":16,"newEdges":2,"touchedEdges":2,"touchedFaults":2,"cycles":13,"clusters":2,"detected":["SVCT-1"]}]}`
+
+// TestJournalFixtureReplay boots a manager on the literal fixture -- and
+// once more on the journal that boot compacted it into -- and checks the
+// job table, the lifetime counters and the monitor table record by
+// record.
+func TestJournalFixtureReplay(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string]string{"journal.jsonl": fixtureJournal, "report-job-1.json": fixtureReport} {
+		if err := os.WriteFile(filepath.Join(dir, "jobs", name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := func(s string) time.Time {
+		ts, err := time.Parse(time.RFC3339Nano, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	for _, boot := range []string{"fixture", "compacted"} {
+		m := newTestManager(t, Config{Workers: 1, DataDir: dir})
+		list := m.List()
+		if len(list) != 2 {
+			t.Fatalf("%s: replayed %d jobs, want 2", boot, len(list))
+		}
+		a, b := list[0], list[1]
+		if a.ID != "job-1" || a.State != StateSucceeded || a.Error != "" || a.Attempt != 1 || a.Sims != 24 ||
+			a.GraphID != "g1" || len(a.Rounds) != 2 || a.Rounds[1].Cycles != 13 || a.Resumed ||
+			!a.Created.Equal(at("2026-01-02T03:04:05.5Z")) || a.Finished == nil || !a.Finished.Equal(at("2026-01-02T03:04:07Z")) ||
+			a.Spec.WaveSize != 4 || a.Spec.Seed == nil || *a.Spec.Seed != 7 {
+			t.Fatalf("%s: job-1 = %+v", boot, a)
+		}
+		if b.ID != "job-2" || b.State != StateCancelled || b.Error != "context canceled" || b.Attempt != 1 ||
+			b.Sims != 0 || b.GraphID != "" || len(b.Rounds) != 0 || b.Resumed ||
+			b.Finished == nil || !b.Finished.Equal(at("2026-01-02T03:04:11Z")) || b.Spec.MaxAttempts != 3 || b.Spec.Priority != 5 {
+			t.Fatalf("%s: job-2 = %+v", boot, b)
+		}
+		if got := servedReport(t, m, "job-1"); string(got) != fixtureReport {
+			t.Fatalf("%s: served report\n got: %s\nwant: %s", boot, got, fixtureReport)
+		}
+		if _, _, err := m.Report("job-2"); err == nil {
+			t.Fatalf("%s: the cancelled job serves a report", boot)
+		}
+		for _, id := range []string{"job-1", "job-2"} { // terminal at boot: done is closed
+			if _, err := m.Await(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := m.Snapshot()
+		if snap.JobsSucceeded != 1 || snap.JobsCancelled != 1 || snap.JobsFailed != 0 || snap.JobsResumed != 0 ||
+			snap.JobsQueued != 0 || snap.JobsRunning != 0 || snap.SimsTotal != 24 || snap.RoundsTotal != 2 {
+			t.Fatalf("%s: counters = %+v", boot, snap)
+		}
+		mons := m.Monitors()
+		if len(mons) != 1 || mons[0].ID != "mon-2" || mons[0].Spec != (MonitorSpec{}) || !mons[0].Created.Equal(at("2026-01-02T03:04:10Z")) {
+			t.Fatalf("%s: monitors = %+v", boot, mons)
+		}
+		m.Close()
+	}
+	// Both id sequences continue past everything the journal named.
+	m := newTestManager(t, Config{Workers: 1, DataDir: dir})
+	if mon, err := m.CreateMonitor(MonitorSpec{}); err != nil || mon.ID != "mon-3" {
+		t.Fatalf("next monitor = %+v / %v, want mon-3", mon, err)
+	}
+	st, err := m.Submit(tinySpec(7))
+	if err != nil || st.ID != "job-3" {
+		t.Fatalf("next job = %+v / %v, want job-3", st, err)
+	}
+	m.Await(st.ID)
+}
+
 // --- crash recovery ---------------------------------------------------------
 
 // TestCrashRecoveryByteIdentical is the tentpole contract: hard-kill
@@ -485,6 +582,48 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 	if fin.State != StateFailed || fin.Error != "deadline_exceeded" {
 		t.Fatalf("state=%s error=%q, want failed/deadline_exceeded", fin.State, fin.Error)
+	}
+}
+
+// TestCancelDuringRetryBackoff: a DELETE that lands while a job waits
+// out its retry backoff cancels it, even when the attempt that just
+// ended did so by blowing its deadline -- the deadline verdict belongs
+// to that attempt, not to the job.
+func TestCancelDuringRetryBackoff(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, WatchInterval: 10 * time.Millisecond, RetryBase: time.Hour})
+	if !m.Pool().Acquire(context.Background()) {
+		t.Fatal("could not starve the pool")
+	}
+	defer m.Pool().Release()
+	spec := tinySpec(7)
+	spec.DeadlineMS = 100
+	spec.MaxAttempts = 2
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, unsub, err := m.Subscribe(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsub()
+	select {
+	case ev := <-events:
+		if ev.State != StateQueued || ev.Attempt != 1 || ev.Error != "deadline_exceeded" {
+			t.Fatalf("first event = %+v, want the retry transition of attempt 1", ev)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("attempt 1 never hit its deadline")
+	}
+	fin, err := m.Cancel(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != StateCancelled {
+		t.Fatalf("state=%s error=%q, want cancelled", fin.State, fin.Error)
+	}
+	if snap := m.Snapshot(); snap.JobsCancelled != 1 || snap.JobsFailed != 0 {
+		t.Fatalf("cancelled=%d failed=%d, want 1/0", snap.JobsCancelled, snap.JobsFailed)
 	}
 }
 

@@ -52,12 +52,21 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec CampaignSpec
+// decodeBody decodes the JSON request body into v, rejecting unknown
+// fields; on failure it answers 400 "bad <what>: ..." and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad campaign spec: %v", err)
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+		return false
+	}
+	return true
+}
+
+func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec CampaignSpec
+	if !decodeBody(w, r, "campaign spec", &spec) {
 		return
 	}
 	st, err := m.Submit(spec)
@@ -111,58 +120,34 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer unsubscribe()
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
+	streamSSE(w, r, ch, func(ev Event) string { return ev.Type })
+}
+
+// reportOrError fetches the request's job report; without one it answers
+// 404 (no such job) or 409 (no report yet) itself and returns nil.
+func (m *Manager) reportOrError(w http.ResponseWriter, r *http.Request) *report.JSONReport {
+	rep, st, err := m.Report(r.PathValue("id"))
+	switch {
+	case err == nil:
+		return rep
+	case st == nil:
+		writeError(w, http.StatusNotFound, "%v", err)
+	default:
+		writeError(w, http.StatusConflict, "%v", err)
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	return nil
 }
 
 func (m *Manager) handleReport(w http.ResponseWriter, r *http.Request) {
-	rep, st, err := m.Report(r.PathValue("id"))
-	if err != nil {
-		if st == nil {
-			writeError(w, http.StatusNotFound, "%v", err)
-		} else {
-			writeError(w, http.StatusConflict, "%v", err)
-		}
-		return
+	if rep := m.reportOrError(w, r); rep != nil {
+		writeJSON(w, http.StatusOK, rep)
 	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 func (m *Manager) handleCycles(w http.ResponseWriter, r *http.Request) {
-	rep, st, err := m.Report(r.PathValue("id"))
-	if err != nil {
-		if st == nil {
-			writeError(w, http.StatusNotFound, "%v", err)
-		} else {
-			writeError(w, http.StatusConflict, "%v", err)
-		}
-		return
+	if rep := m.reportOrError(w, r); rep != nil {
+		writeJSON(w, http.StatusOK, rep.Clusters)
 	}
-	writeJSON(w, http.StatusOK, rep.Clusters)
 }
 
 func (m *Manager) handleGraphs(w http.ResponseWriter, r *http.Request) {
@@ -188,10 +173,7 @@ func (m *Manager) handleGraph(w http.ResponseWriter, r *http.Request) {
 // -research flag runs on files.
 func (m *Manager) handleMerge(w http.ResponseWriter, r *http.Request) {
 	var req MergeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad merge request: %v", err)
+	if !decodeBody(w, r, "merge request", &req) {
 		return
 	}
 	art, merged, err := m.store.Merge(req.Graphs)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core/csnake"
 	"repro/internal/faults"
+	"repro/internal/monitor"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/systems/sysreg"
@@ -496,33 +497,146 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	}
 }
 
-// TestOfferDropFolding pins the drop-accounting semantics: lost events
-// increment a debt that rides along on the next event that does fit.
-func TestOfferDropFolding(t *testing.T) {
-	s := &subscriber{ch: make(chan Event, 1)}
-	if !s.offer(Event{Type: "round"}) {
-		t.Fatal("first offer into an empty buffer failed")
+// checkStream pins the fan-out contract on one stream that has item 1
+// recorded already: a one-slot subscriber gets item 1 replayed before
+// anything live; left undrained from there on, it does not stall produce
+// (which returns once the producer has published everything it had); and
+// the stream ends closed -- on its own or through end -- behind whatever
+// did fit, still in publication order.
+func checkStream[T any](t *testing.T, subscribe func() (<-chan T, func()), seq func(T) int64, produce, end func()) {
+	t.Helper()
+	ch, unsub := subscribe()
+	defer unsub()
+	select {
+	case v := <-ch:
+		if seq(v) != 1 {
+			t.Fatalf("first item has seq %d, want the replayed 1", seq(v))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the recorded item was not replayed")
 	}
-	if s.offer(Event{Type: "round"}) || s.offer(Event{Type: "round"}) {
-		t.Fatal("offer into a full buffer succeeded")
+	produce()
+	end()
+	last := int64(1)
+drain:
+	for {
+		select {
+		case v, open := <-ch:
+			if !open {
+				break drain
+			}
+			if seq(v) <= last {
+				t.Fatalf("item %d arrived after item %d", seq(v), last)
+			}
+			last = seq(v)
+		case <-time.After(10 * time.Second):
+			t.Fatal("the stream never closed")
+		}
 	}
-	got := <-s.ch
-	if got.Dropped != 0 {
-		t.Fatalf("first delivered event carries drop debt %d", got.Dropped)
+	if last == 1 {
+		t.Fatal("no live item reached the subscriber")
 	}
-	if !s.offer(Event{Type: "round"}) {
-		t.Fatal("offer after drain failed")
-	}
-	got = <-s.ch
-	if got.Dropped != 2 {
-		t.Fatalf("drop debt = %d, want 2", got.Dropped)
-	}
-	// Debt resets once reported.
-	if !s.offer(Event{Type: "state"}) {
-		t.Fatal("offer failed")
-	}
-	if got = <-s.ch; got.Dropped != 0 {
-		t.Fatalf("drop debt did not reset: %d", got.Dropped)
+}
+
+// TestFanOut runs the contract over both streams the one fan-out
+// carries -- job events and monitor alerts -- and pins the drop debt the
+// job stream adds on top.
+func TestFanOut(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"job-events", func(t *testing.T) {
+			m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, SubBuffer: 1})
+			reached, release := holdAtRound(m, 1)
+			spec := tinySpec(7)
+			spec.WaveSize = 1 // one round per experiment: many events
+			st, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-reached // round 1 is sealed and the campaign parked
+			checkStream(t,
+				func() (<-chan Event, func()) {
+					ch, unsub, err := m.Subscribe(st.ID)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ch, unsub
+				},
+				func(ev Event) int64 {
+					if ev.Type == "round" {
+						return int64(ev.Round.Round)
+					}
+					return 1 << 32 // the terminal state event comes last
+				},
+				func() {
+					release()
+					if fin, err := m.Await(st.ID); err != nil || fin.State != StateSucceeded {
+						t.Fatalf("job: %+v / %v", fin, err)
+					}
+				},
+				func() {}) // the terminal transition closes the stream
+		}},
+		{"monitor-alerts", func(t *testing.T) {
+			m := newTestManager(t, Config{Workers: 1})
+			st, err := m.CreateMonitor(MonitorSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, _ := m.getMonitor(st.ID)
+			if _, err := rt.mon.Ingest(strings.NewReader(cycleTrace)); err != nil {
+				t.Fatal(err)
+			}
+			checkStream(t,
+				func() (<-chan monitor.Alert, func()) { return rt.subscribe(1, true) },
+				func(a monitor.Alert) int64 { return a.Seq },
+				func() {
+					// Four more cycles close in one batch: four alerts.
+					var more strings.Builder
+					for _, p := range []string{"cd", "ef", "gh", "ij"} {
+						fmt.Fprintf(&more, `{"t":"edge","atMs":2,"edge":{"f":"%c","t":"%c","k":2,"fc":0,"tc":0,"w":"w1"}}`+"\n", p[0], p[1])
+						fmt.Fprintf(&more, `{"t":"edge","atMs":3,"edge":{"f":"%c","t":"%c","k":2,"fc":0,"tc":0,"w":"w2"}}`+"\n", p[1], p[0])
+					}
+					res, err := rt.mon.Ingest(strings.NewReader(more.String()))
+					if err != nil || len(res.Alerts) < 3 {
+						t.Fatalf("ingest: %+v / %v, want at least 3 alerts", res, err)
+					}
+				},
+				func() {
+					if err := m.DeleteMonitor(st.ID); err != nil {
+						t.Fatal(err)
+					}
+				})
+		}},
+		// Lost events increment a debt that rides along on the next event
+		// that does fit, and resets once reported.
+		{"drop-folding", func(t *testing.T) {
+			events := &newJob("job-1", 1, CampaignSpec{}, time.Time{}).events
+			ch, unsub := events.subscribe(1, func() ([]Event, bool) { return nil, true })
+			defer unsub()
+			for i := 0; i < 3; i++ { // one fits, two are lost
+				events.publish(Event{Type: "round"}, nil)
+			}
+			if got := <-ch; got.Dropped != 0 {
+				t.Fatalf("first delivered event carries drop debt %d", got.Dropped)
+			}
+			select {
+			case got := <-ch:
+				t.Fatalf("an offer into a full buffer was delivered: %+v", got)
+			default:
+			}
+			events.publish(Event{Type: "round"}, nil)
+			if got := <-ch; got.Dropped != 2 {
+				t.Fatalf("drop debt = %d, want 2", got.Dropped)
+			}
+			events.publish(Event{Type: "state"}, nil)
+			if got := <-ch; got.Dropped != 0 {
+				t.Fatalf("drop debt did not reset: %d", got.Dropped)
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }
 
