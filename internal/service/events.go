@@ -114,7 +114,7 @@ func (m *Manager) Subscribe(id string) (<-chan Event, func(), error) {
 		return nil, nil, errUnknownJob(id)
 	}
 	// Jobs are never removed from m.jobs, so the re-lock cannot lose j.
-	ch, unsubscribe := j.events.subscribe(m.cfg.SubBuffer, func() ([]Event, bool) {
+	ch, unsubscribe := j.events.subscribe(m.cfg.subBuffer, func() ([]Event, bool) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		replay := make([]Event, 0, len(j.rounds)+1)

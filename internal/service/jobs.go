@@ -9,18 +9,18 @@
 //
 // With a data directory configured the manager is crash-safe: every
 // lifecycle transition is journaled (journal.go), anytime jobs persist
-// a resume checkpoint after each round, and boot replays the journal to
-// re-queue everything that was queued or running when the daemon died
-// (recovery.go). Self-healing rides on top: failed attempts retry with
-// capped exponential backoff up to the spec's maxAttempts, a watchdog
-// cancels jobs stuck past their deadline, and admission control bounds
-// the queue and sheds load when the worker pool saturates.
+// a resume checkpoint, with the rounds it covers, after each round, and
+// boot replays the journal to re-queue everything that was queued or
+// running when the daemon died (recovery.go). Self-healing rides on
+// top: failed attempts retry with capped exponential backoff up to the
+// spec's maxAttempts, a watchdog cancels jobs stuck past their deadline,
+// and admission control bounds the queue and sheds load when the worker
+// pool saturates.
 
 package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -56,15 +56,15 @@ type Config struct {
 	// DataDir persists graph artifacts and the job journal ("" =
 	// in-memory only: no durability, no crash recovery).
 	DataDir string
-	// SubBuffer is the per-subscriber event buffer (default 64); a
-	// subscriber that falls further behind drops rounds.
-	SubBuffer int
-	// RetryBase is the first retry backoff; attempt n waits
-	// RetryBase << (n-1), capped at 5s (default 500ms).
-	RetryBase time.Duration
-	// WatchInterval is the stuck-job watchdog's scan period (default
-	// 250ms).
-	WatchInterval time.Duration
+
+	// Test seams, left at their defaults in production: the
+	// per-subscriber event buffer (64; a subscriber that falls further
+	// behind drops items), the first retry backoff (500ms; attempt n waits
+	// retryBase << (n-1), capped at 5s), and the stuck-job watchdog's scan
+	// period (250ms).
+	subBuffer     int
+	retryBase     time.Duration
+	watchInterval time.Duration
 }
 
 func (c *Config) defaults() {
@@ -77,14 +77,14 @@ func (c *Config) defaults() {
 	if c.MaxQueue < 1 {
 		c.MaxQueue = 256
 	}
-	if c.SubBuffer < 1 {
-		c.SubBuffer = 64
+	if c.subBuffer < 1 {
+		c.subBuffer = 64
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 500 * time.Millisecond
+	if c.retryBase <= 0 {
+		c.retryBase = 500 * time.Millisecond
 	}
-	if c.WatchInterval <= 0 {
-		c.WatchInterval = 250 * time.Millisecond
+	if c.watchInterval <= 0 {
+		c.watchInterval = 250 * time.Millisecond
 	}
 }
 
@@ -316,25 +316,14 @@ func (m *Manager) compactJournal() {
 	}
 }
 
-// snapshotRecordsLocked renders the job table as journal records:
-// a submit per job, round + checkpoint markers for unfinished anytime
-// jobs (terminal jobs keep their rounds in the report file), and the
-// latest state. Caller holds m.mu.
+// snapshotRecordsLocked renders the job table as journal records: a
+// submit and the latest state per job (rounds live in the checkpoint and
+// report side files). Caller holds m.mu.
 func (m *Manager) snapshotRecordsLocked() []journalRecord {
 	var recs []journalRecord
 	for _, id := range m.order {
 		j := m.jobs[id]
-		recs = append(recs, j.submitRecord())
-		if !j.state.Terminal() {
-			for i := range j.rounds {
-				r := j.rounds[i]
-				recs = append(recs, journalRecord{T: "round", Job: j.ID, Round: &r})
-			}
-			if j.ckpt != nil {
-				recs = append(recs, journalRecord{T: "ckpt", Job: j.ID, Rounds: j.ckpt.Rounds})
-			}
-		}
-		recs = append(recs, j.stateRecordLocked(j.finished))
+		recs = append(recs, j.submitRecord(), j.stateRecordLocked(j.finished))
 	}
 	return recs
 }
@@ -468,7 +457,7 @@ func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, erro
 			j.rounds = nil
 			m.mu.Unlock()
 			if m.jl != nil {
-				m.jl.removeCheckpoint(j.ID)
+				m.jl.removeSide(ckptName(j.ID))
 			}
 			ckpt = nil
 			continue
@@ -477,29 +466,28 @@ func (m *Manager) runCampaign(j *Job, ctx context.Context) (*csnake.Report, erro
 	}
 }
 
-// saveCheckpoint persists an anytime job's round checkpoint (atomic
-// side file + journal marker). Runs on the campaign goroutine between
-// rounds; persistence failures only shorten how far a crash can resume
-// from, never fail the round.
+// saveCheckpoint persists an anytime job's round checkpoint together
+// with the job's rounds up to it -- the observer recorded the round just
+// before -- as one atomic side file. Runs on the campaign goroutine
+// between rounds; persistence failures only shorten how far a crash can
+// resume from, never fail the round.
 func (m *Manager) saveCheckpoint(j *Job, cp *csnake.Checkpoint) {
-	data, err := json.Marshal(cp)
-	if err != nil {
-		return
-	}
-	if err := m.jl.writeCheckpoint(j.ID, data); err != nil {
+	m.mu.Lock()
+	rounds := slices.Clone(j.rounds)
+	m.mu.Unlock()
+	if err := m.jl.writeSide(ckptName(j.ID), checkpointFile{Checkpoint: cp, SealedRounds: rounds}); err != nil {
 		log.Printf("csnaked: job %s: checkpoint: %v", j.ID, err)
 		return
 	}
 	m.mu.Lock()
 	j.ckpt = cp
 	m.mu.Unlock()
-	m.jlog(journalRecord{T: "ckpt", Job: j.ID, Rounds: cp.Rounds})
 }
 
-// retryBackoff is the wait before attempt n+1: RetryBase << (n-1),
+// retryBackoff is the wait before attempt n+1: retryBase << (n-1),
 // capped at 5s.
 func (m *Manager) retryBackoff(attempt int) time.Duration {
-	d := m.cfg.RetryBase
+	d := m.cfg.retryBase
 	for i := 1; i < attempt && d < 5*time.Second; i++ {
 		d *= 2
 	}
@@ -563,12 +551,8 @@ func (m *Manager) finish(j *Job, rep *csnake.Report, err error) {
 				graphID = art.Info.ID
 			}
 		}
-		if m.jl != nil {
-			if data, jerr := json.Marshal(js); jerr == nil {
-				if name, werr := m.jl.writeReport(j.ID, data); werr == nil {
-					reportFile = name
-				}
-			}
+		if name := "report-" + j.ID + ".json"; m.jl != nil && m.jl.writeSide(name, js) == nil {
+			reportFile = name
 		}
 	}
 
@@ -623,7 +607,7 @@ func (m *Manager) transition(j *Job, to JobState, errMsg string) {
 	m.mu.Unlock()
 
 	if to.Terminal() && m.jl != nil {
-		m.jl.removeCheckpoint(j.ID)
+		m.jl.removeSide(ckptName(j.ID))
 	}
 	m.jlog(rec)
 	if to != StateRunning {
@@ -663,7 +647,7 @@ func spliceRecoveredRounds(js *report.JSONReport, rounds []report.JSONRound) {
 // attempt then fails with "deadline_exceeded" (and retries, if the spec
 // allows attempts).
 func (m *Manager) watchdog() {
-	t := time.NewTicker(m.cfg.WatchInterval)
+	t := time.NewTicker(m.cfg.watchInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -875,7 +859,6 @@ func (o *jobObserver) RoundCompleted(r csnake.Round) {
 	o.j.putRound(jr)
 	o.m.roundsTotal++
 	o.m.mu.Unlock()
-	o.m.jlog(journalRecord{T: "round", Job: o.j.ID, Round: &jr})
 	o.j.events.publish(Event{Type: "round", Job: o.j.ID, Round: &jr}, nil)
 	if h := o.m.roundHook; h != nil {
 		h(o.j, jr.Round)

@@ -1,10 +1,12 @@
 // This file is the durability layer: an append-only journal of job
-// lifecycle records under <data>/jobs plus atomically-written side files
-// for per-job resume checkpoints and final reports. The journal is
-// JSONL, fsynced per record, tolerant of a torn final record (a crash
-// mid-append loses at most that record), and compacted by atomic
-// tmp+fsync+rename rewrite. The manager replays it at boot to re-queue
-// every job that was queued or running when the daemon died.
+// submissions, job transitions and monitor create/delete records under
+// <data>/jobs, plus atomically-written side files: a per-job resume
+// checkpoint (which also carries the rounds it resumes from) and a final
+// report. The journal is JSONL, fsynced per record, tolerant of a torn
+// final record (a crash mid-append loses at most that record), and
+// compacted by atomic tmp+fsync+rename rewrite. The manager replays it
+// at boot to re-queue every job that was queued or running when the
+// daemon died.
 
 package service
 
@@ -12,12 +14,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"log"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
+	"repro/internal/core/csnake"
 	"repro/internal/report"
 )
 
@@ -32,12 +38,12 @@ const journalMaxBytes = 1 << 20
 //   - "submit": a job entered the system (Job, Seq, Spec, Created).
 //   - "state": a lifecycle transition (State, Error, Attempt; terminal
 //     records also carry GraphID, Report, Sims, EarlyStopped).
-//   - "round": one completed anytime round (Round).
-//   - "ckpt": a resume checkpoint was sealed (Rounds; the checkpoint
-//     itself lives in the job's ck-<job>.json side file).
 //   - "mon-create" / "mon-delete": online monitor lifecycle (Job is the
 //     monitor id, MonSpec its spec). Monitors re-create empty at boot:
 //     their evidence is stream-sourced, the producer re-ingests it.
+//
+// Replay ignores any other record type and unknown fields, such as the
+// "round" and "ckpt" records older daemons wrote.
 type journalRecord struct {
 	T   string `json:"t"`
 	Job string `json:"job"`
@@ -50,10 +56,6 @@ type journalRecord struct {
 	Error   string    `json:"error,omitempty"`
 	Attempt int       `json:"attempt,omitempty"`
 	At      time.Time `json:"at,omitempty"`
-
-	Round *report.JSONRound `json:"round,omitempty"`
-
-	Rounds int `json:"rounds,omitempty"`
 
 	GraphID      string `json:"graphId,omitempty"`
 	Report       string `json:"report,omitempty"`
@@ -105,9 +107,17 @@ func openJournal(dir string) (*journal, error) {
 
 func (l *journal) path() string { return filepath.Join(l.dir, "journal.jsonl") }
 
-func (l *journal) ckptPath(job string) string { return filepath.Join(l.dir, "ck-"+job+".json") }
+// checkpointFile is an anytime job's resume side file: the campaign
+// checkpoint plus the job's rounds up to it, written as one file so a
+// round is persisted once. A file without Checkpoint is an older
+// daemon's bare csnake.Checkpoint.
+type checkpointFile struct {
+	Checkpoint   *csnake.Checkpoint `json:"checkpoint"`
+	SealedRounds []report.JSONRound `json:"sealedRounds"`
+}
 
-func (l *journal) reportName(job string) string { return "report-" + job + ".json" }
+// ckptName names a job's checkpoint side file.
+func ckptName(job string) string { return "ck-" + job + ".json" }
 
 // append writes one record followed by a newline and fsyncs. A record
 // is either fully durable or (on a crash mid-write) a torn final line
@@ -210,60 +220,41 @@ func (l *journal) rewrite(recs []journalRecord) error {
 	return nil
 }
 
-// writeCheckpoint atomically persists a job's resume checkpoint.
-func (l *journal) writeCheckpoint(job string, data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.disabled {
-		return nil
-	}
-	return atomicWriteFile(l.ckptPath(job), data, 0o644)
-}
-
-// removeCheckpoint deletes a terminal job's checkpoint.
-func (l *journal) removeCheckpoint(job string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.disabled {
-		return
-	}
-	os.Remove(l.ckptPath(job))
-}
-
-// readCheckpoint loads a job's checkpoint bytes (nil if absent).
-func (l *journal) readCheckpoint(job string) []byte {
-	data, err := os.ReadFile(l.ckptPath(job))
+// writeSide atomically persists v as the JSON side file name.
+func (l *journal) writeSide(name string, v any) error {
+	data, err := json.Marshal(v)
 	if err != nil {
-		return nil
+		return err
 	}
-	return data
-}
-
-// writeReport atomically persists a job's final report and returns the
-// file name recorded in the journal ("" when writes are disabled).
-func (l *journal) writeReport(job string, data []byte) (string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.disabled {
-		return "", nil
-	}
-	name := l.reportName(job)
-	if err := atomicWriteFile(filepath.Join(l.dir, name), data, 0o644); err != nil {
-		return "", err
-	}
-	return name, nil
-}
-
-// readReport loads a persisted report file by name (nil if absent).
-func (l *journal) readReport(name string) []byte {
-	if name == "" {
 		return nil
 	}
+	return atomicWriteFile(filepath.Join(l.dir, name), data, 0o644)
+}
+
+// readSide decodes the side file name into v. A missing file returns an
+// fs.ErrNotExist error quietly; an unreadable or corrupt one is logged
+// here, for every caller, and returned.
+func (l *journal) readSide(name string, v any) error {
 	data, err := os.ReadFile(filepath.Join(l.dir, name))
-	if err != nil {
-		return nil
+	if err == nil {
+		err = json.Unmarshal(data, v)
 	}
-	return data
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		log.Printf("csnaked: skipping corrupt side file %s: %v", name, err)
+	}
+	return err
+}
+
+// removeSide deletes the side file name.
+func (l *journal) removeSide(name string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.disabled {
+		os.Remove(filepath.Join(l.dir, name))
+	}
 }
 
 // disable is the hard-kill test hook: all further journal and side-file

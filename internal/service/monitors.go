@@ -212,7 +212,7 @@ func (m *Manager) handleMonitorAlerts(w http.ResponseWriter, r *http.Request) {
 	if rt == nil {
 		return
 	}
-	ch, unsubscribe := rt.subscribe(m.cfg.SubBuffer, r.URL.Query().Get("follow") != "0")
+	ch, unsubscribe := rt.subscribe(m.cfg.subBuffer, r.URL.Query().Get("follow") != "0")
 	defer unsubscribe()
 	streamSSE(w, r, ch, func(monitor.Alert) string { return "alert" })
 }

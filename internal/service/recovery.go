@@ -1,19 +1,18 @@
 // This file is the boot-time recovery path: replay the job journal,
 // rebuild the job table, and re-queue every job that was queued,
 // running, or interrupted when the previous daemon stopped. Anytime
-// jobs pick their resume checkpoint back up and continue from their
-// last sealed round; batch jobs (and anytime jobs whose checkpoint is
-// missing or stale) re-run from scratch. Replay is idempotent: records
-// duplicated by a crash between append and compaction coalesce into the
-// same job states.
+// jobs pick their checkpoint side file back up -- the campaign
+// checkpoint plus the rounds it covers -- and continue from their last
+// sealed round; batch jobs (and anytime jobs whose side file is missing,
+// corrupt, in an older format or inconsistent) re-run from scratch.
+// Replay is idempotent: records duplicated by a crash between append and
+// compaction coalesce into the same job states.
 
 package service
 
 import (
-	"encoding/json"
 	"log"
 
-	"repro/internal/core/csnake"
 	"repro/internal/report"
 )
 
@@ -32,10 +31,7 @@ func (m *Manager) recover() error {
 		return nil
 	}
 
-	// Fold the record stream into per-job state (last write wins; rounds
-	// go through putRound as the live observer's do, so a retried
-	// attempt's rounds overwrite the failed one's).
-	ckptRounds := make(map[string]int)
+	// Fold the record stream into per-job state (last write wins).
 	for _, rec := range recs {
 		switch rec.T {
 		case "submit":
@@ -78,14 +74,6 @@ func (m *Manager) recover() error {
 			if rec.EarlyStopped {
 				j.earlyStopped = true
 			}
-		case "round":
-			j, ok := m.jobs[rec.Job]
-			if !ok || rec.Round == nil {
-				continue
-			}
-			j.putRound(*rec.Round)
-		case "ckpt":
-			ckptRounds[rec.Job] = rec.Rounds
 		case "mon-create":
 			if _, ok := m.mons[rec.Job]; ok || rec.MonSpec == nil {
 				continue // idempotence: duplicate create records coalesce
@@ -106,15 +94,11 @@ func (m *Manager) recover() error {
 		j := m.jobs[id]
 		if j.state.Terminal() {
 			m.terminal[j.state]++
-			if data := m.jl.readReport(j.reportFile); data != nil {
-				var js report.JSONReport
-				if err := json.Unmarshal(data, &js); err == nil {
-					j.json = &js
-					j.rounds = append([]report.JSONRound(nil), js.Rounds...)
-					j.earlyStopped = js.EarlyStopped
-				} else {
-					log.Printf("csnaked: job %s: skipping corrupt report %s: %v", id, j.reportFile, err)
-				}
+			var js report.JSONReport
+			if j.reportFile != "" && m.jl.readSide(j.reportFile, &js) == nil {
+				j.json = &js
+				j.rounds = append([]report.JSONRound(nil), js.Rounds...)
+				j.earlyStopped = js.EarlyStopped
 			}
 			m.simsTotal += int64(j.sims)
 			m.roundsTotal += int64(len(j.rounds))
@@ -129,26 +113,21 @@ func (m *Manager) recover() error {
 		}
 
 		if j.Spec.anytime() {
-			if data := m.jl.readCheckpoint(id); data != nil {
-				var cp csnake.Checkpoint
-				if err := json.Unmarshal(data, &cp); err != nil {
-					log.Printf("csnaked: job %s: skipping corrupt checkpoint: %v", id, err)
-				} else if want, ok := ckptRounds[id]; ok && cp.Rounds != want {
-					// The journal and side file disagree (crash between the
-					// two writes): trust neither, re-run from scratch.
-					log.Printf("csnaked: job %s: checkpoint covers %d rounds, journal says %d: re-running from scratch", id, cp.Rounds, want)
-				} else if cp.Rounds > len(j.rounds) {
-					log.Printf("csnaked: job %s: checkpoint covers %d rounds but journal replayed %d: re-running from scratch", id, cp.Rounds, len(j.rounds))
-				} else {
-					j.ckpt = &cp
-					j.rounds = j.rounds[:cp.Rounds]
-				}
+			var ck checkpointFile
+			err := m.jl.readSide(ckptName(id), &ck)
+			switch cp := ck.Checkpoint; {
+			case err == nil && cp != nil && len(ck.SealedRounds) == cp.Rounds:
+				j.ckpt, j.rounds = cp, ck.SealedRounds
+			case err == nil && cp == nil:
+				log.Printf("csnaked: job %s: checkpoint in an older format: re-running from scratch", id)
+			case err == nil:
+				log.Printf("csnaked: job %s: checkpoint covers %d rounds but holds %d: re-running from scratch", id, cp.Rounds, len(ck.SealedRounds))
+			case j.attempt > 0: // missing, or corrupt (logged by readSide)
+				log.Printf("csnaked: job %s: no usable checkpoint: re-running from scratch", id)
 			}
 		}
 		if j.ckpt == nil {
-			// Scratch re-run: the trajectory will be regenerated.
-			j.rounds = nil
-			m.jl.removeCheckpoint(id)
+			m.jl.removeSide(ckptName(id))
 		}
 		m.roundsTotal += int64(len(j.rounds))
 		m.queue = append(m.queue, j)

@@ -123,7 +123,7 @@ func TestJournalTornTail(t *testing.T) {
 	recs := []journalRecord{
 		{T: "submit", Job: "job-1", Seq: 1, Spec: &spec, Created: time.Now().UTC()},
 		{T: "state", Job: "job-1", State: StateRunning, Attempt: 1},
-		{T: "round", Job: "job-1", Round: &report.JSONRound{Round: 1, Runs: 4}},
+		{T: "state", Job: "job-1", State: StateQueued, Error: "boom", Attempt: 1},
 	}
 	for _, rec := range recs {
 		if err := jl.append(rec); err != nil {
@@ -153,8 +153,8 @@ func TestJournalTornTail(t *testing.T) {
 	if skipped != 1 {
 		t.Fatalf("skipped %d lines, want 1 (the torn tail)", skipped)
 	}
-	if got[2].Round == nil || got[2].Round.Round != 1 || got[2].Round.Runs != 4 {
-		t.Fatalf("round record did not round-trip: %+v", got[2])
+	if got[2].State != StateQueued || got[2].Error != "boom" || got[2].Attempt != 1 {
+		t.Fatalf("state record did not round-trip: %+v", got[2])
 	}
 	// A fresh append after the torn tail is still replayable: the torn
 	// line is skipped, not a poison pill.
@@ -476,13 +476,137 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	}
 }
 
+// journalRows reads the data directory's journal as "type:state" rows.
+func journalRows(t *testing.T, dir string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		rows = append(rows, rec.T+":"+string(rec.State))
+	}
+	return rows
+}
+
+// TestAnytimeRoundsPersistedOnce: an anytime job journals its submission
+// and its transitions, nothing per round. Its rounds ride in the
+// checkpoint side file, which holds exactly the rounds its checkpoint
+// resumes from.
+func TestAnytimeRoundsPersistedOnce(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, DataDir: dir})
+	// The round hook runs as round k is recorded, before its checkpoint
+	// is written: held at round 3, the side file covers rounds 1 and 2.
+	reached, release := holdAtRound(m, 3)
+	spec := tinySpec(7)
+	spec.WaveSize = 1 // four experiments, four rounds
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+	var ck checkpointFile
+	if err := m.jl.readSide(ckptName(st.ID), &ck); err != nil {
+		t.Fatal(err)
+	}
+	held, err := m.Status(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(ck.SealedRounds)
+	want, _ := json.Marshal(held.Rounds[:2])
+	if ck.Checkpoint == nil || ck.Checkpoint.Rounds != 2 || string(got) != string(want) {
+		t.Fatalf("side file holds checkpoint %+v and rounds %s, want 2 rounds %s", ck.Checkpoint, got, want)
+	}
+	release()
+	fin, err := m.Await(st.ID)
+	if err != nil || fin.State != StateSucceeded || len(fin.Rounds) < 3 {
+		t.Fatalf("job: %+v / %v", fin, err)
+	}
+	m.Close()
+	if rows := journalRows(t, dir); strings.Join(rows, " ") != "submit: state:running state:succeeded" {
+		t.Fatalf("journal rows = %v, want submit, running, succeeded", rows)
+	}
+}
+
+// TestResumeFromOlderDaemon boots on what an older daemon left behind
+// for an anytime job it was running: "round" and "ckpt" journal records
+// and a bare csnake.Checkpoint side file. The job re-runs from scratch,
+// marked resumed, to a report byte-identical to an uninterrupted run.
+func TestResumeFromOlderDaemon(t *testing.T) {
+	spec := tinySpec(7)
+	spec.WaveSize = 2
+	want := isolatedReport(t, spec)
+
+	sys, opts, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp2 *csnake.Checkpoint
+	rep, err := csnake.NewCampaign(sys, append(opts, csnake.WithCheckpoints(func(cp *csnake.Checkpoint) {
+		if cp.Rounds == 2 {
+			cp2 = cp
+		}
+	}))...).Run()
+	if err != nil || cp2 == nil {
+		t.Fatalf("no round-2 checkpoint: %v", err)
+	}
+	ckData, err := json.Marshal(cp2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specData, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := `{"t":"submit","job":"job-1","seq":1,"spec":` + string(specData) + `,"created":"2026-01-02T03:04:05Z"}` + "\n" +
+		`{"t":"state","job":"job-1","state":"running","attempt":1,"at":"2026-01-02T03:04:06Z"}` + "\n"
+	for _, r := range report.NewJSON(rep, sys.Bugs()).Rounds[:2] {
+		rd, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal += `{"t":"round","job":"job-1","round":` + string(rd) + "}\n"
+	}
+	journal += `{"t":"ckpt","job":"job-1","rounds":2}` + "\n"
+
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string]string{"journal.jsonl": journal, "ck-job-1.json": string(ckData)} {
+		if err := os.WriteFile(filepath.Join(dir, "jobs", name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, DataDir: dir})
+	fin, err := m.Await("job-1")
+	if err != nil || fin.State != StateSucceeded || !fin.Resumed {
+		t.Fatalf("job: %+v / %v, want succeeded and resumed", fin, err)
+	}
+	if got := servedReport(t, m, "job-1"); string(got) != string(want) {
+		t.Fatalf("report differs from uninterrupted run\n got: %s\nwant: %s", got, want)
+	}
+	m.Close()
+	if rows := journalRows(t, dir); strings.Join(rows, " ") != "submit: state:queued state:running state:succeeded" {
+		t.Fatalf("journal rows = %v, want the old rows compacted away", rows)
+	}
+}
+
 // --- self-healing -----------------------------------------------------------
 
 // TestRetryAfterTransientFailure: a campaign that panics once succeeds
 // on its retry; the attempt count, retry counter, and panic counter all
 // say what happened.
 func TestRetryAfterTransientFailure(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, RetryBase: 10 * time.Millisecond})
+	m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, retryBase: 10 * time.Millisecond})
 	flakyArm.Store(1)
 	spec := tinySpec(7)
 	spec.System = "svc-flaky"
@@ -516,7 +640,7 @@ func TestRetryAfterTransientFailure(t *testing.T) {
 // TestRetriesExhausted: a permanently-failing campaign burns all its
 // attempts and fails.
 func TestRetriesExhausted(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, RetryBase: time.Millisecond})
+	m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, retryBase: time.Millisecond})
 	spec := CampaignSpec{System: "svc-crash", Reps: 2, DelayMagnitudesMS: []int64{200}, MaxAttempts: 3}
 	st, err := m.Submit(spec)
 	if err != nil {
@@ -565,7 +689,7 @@ func TestPanicCapturesStack(t *testing.T) {
 // deadline (here: starved of worker tokens) and it fails with the
 // distinguished deadline_exceeded error.
 func TestDeadlineExceeded(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, WatchInterval: 10 * time.Millisecond})
+	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, watchInterval: 10 * time.Millisecond})
 	if !m.Pool().Acquire(context.Background()) {
 		t.Fatal("could not starve the pool")
 	}
@@ -590,7 +714,7 @@ func TestDeadlineExceeded(t *testing.T) {
 // ended did so by blowing its deadline -- the deadline verdict belongs
 // to that attempt, not to the job.
 func TestCancelDuringRetryBackoff(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, WatchInterval: 10 * time.Millisecond, RetryBase: time.Hour})
+	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, watchInterval: 10 * time.Millisecond, retryBase: time.Hour})
 	if !m.Pool().Acquire(context.Background()) {
 		t.Fatal("could not starve the pool")
 	}

@@ -472,7 +472,7 @@ func TestSubscribeReplay(t *testing.T) {
 // TestSlowSubscriberDropsNotBlocks: a subscriber that never drains must
 // not stall the campaign; it loses rounds and the drop count says so.
 func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, SubBuffer: 1})
+	m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, subBuffer: 1})
 	spec := tinySpec(7)
 	spec.WaveSize = 1 // one round per experiment: many events
 	st, err := m.Submit(spec)
@@ -547,7 +547,7 @@ func TestFanOut(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"job-events", func(t *testing.T) {
-			m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, SubBuffer: 1})
+			m := newTestManager(t, Config{Workers: 2, MaxJobs: 1, subBuffer: 1})
 			reached, release := holdAtRound(m, 1)
 			spec := tinySpec(7)
 			spec.WaveSize = 1 // one round per experiment: many events

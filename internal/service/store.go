@@ -9,6 +9,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"os"
@@ -63,30 +64,20 @@ func NewGraphStore(dir string) (*GraphStore, error) {
 		// A corrupt or unreadable artifact (e.g. torn by a crash predating
 		// atomic writes) is skipped and logged, never fatal: one bad file
 		// must not keep the daemon from booting.
-		g, err := graph.ReadFile(path) // load = well-formedness pass
+		data, err := os.ReadFile(path)
+		var g *graph.Graph
+		if err == nil {
+			g, err = graph.Load(bytes.NewReader(data)) // load = well-formedness pass
+		}
 		if err != nil {
 			log.Printf("csnaked: graph store: skipping corrupt artifact %s: %v", path, err)
 			continue
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			log.Printf("csnaked: graph store: skipping unreadable artifact %s: %v", path, err)
-			continue
-		}
-		fi, _ := os.Stat(path)
-		created := time.Time{}
-		if fi != nil {
+		var created time.Time
+		if fi, err := os.Stat(path); err == nil {
 			created = fi.ModTime()
 		}
-		s.arts[id] = &GraphArtifact{
-			Info: GraphInfo{
-				ID: id, System: g.System(), Source: "reloaded",
-				Edges: g.Len(), Faults: g.NumFaults(),
-				Bytes: len(data), Created: created,
-			},
-			data: data,
-		}
-		s.order = append(s.order, id)
+		s.add(id, "reloaded", g, data, created)
 		if n, err := strconv.Atoi(strings.TrimPrefix(id, "g")); err == nil && n > s.seq {
 			s.seq = n
 		}
@@ -103,16 +94,7 @@ func (s *GraphStore) Put(source string, g *graph.Graph) (*GraphArtifact, error) 
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("g%d", s.seq)
-	art := &GraphArtifact{
-		Info: GraphInfo{
-			ID: id, System: g.System(), Source: source,
-			Edges: g.Len(), Faults: g.NumFaults(),
-			Bytes: len(data), Created: time.Now(),
-		},
-		data: data,
-	}
-	s.arts[id] = art
-	s.order = append(s.order, id)
+	art := s.add(id, source, g, data, time.Now())
 	dir := s.dir
 	s.mu.Unlock()
 	if dir != "" {
@@ -123,6 +105,22 @@ func (s *GraphStore) Put(source string, g *graph.Graph) (*GraphArtifact, error) 
 		}
 	}
 	return art, nil
+}
+
+// add stores g, serialized as data, as artifact id: the one place a
+// GraphInfo is assembled. Caller holds s.mu (or owns s, at boot).
+func (s *GraphStore) add(id, source string, g *graph.Graph, data []byte, created time.Time) *GraphArtifact {
+	art := &GraphArtifact{
+		Info: GraphInfo{
+			ID: id, System: g.System(), Source: source,
+			Edges: g.Len(), Faults: g.NumFaults(),
+			Bytes: len(data), Created: created,
+		},
+		data: data,
+	}
+	s.arts[id] = art
+	s.order = append(s.order, id)
+	return art
 }
 
 // Get returns a stored artifact.

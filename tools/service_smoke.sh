@@ -8,8 +8,9 @@
 # create a monitor, ingest the trace over HTTP, and require the SSE
 # alert stream to carry both seeded storm fault ids. Then the crash
 # journey: kill -9 the daemon mid-campaign, restart it on the same
-# data directory, and require the journal-recovered job to resume and
-# still detect both storms. CI runs this; it also works locally:
+# data directory, require the journal-recovered job to resume and still
+# detect both storms, and require the journal to hold no per-round
+# records. CI runs this; it also works locally:
 #
 #   ./tools/service_smoke.sh
 set -euo pipefail
@@ -153,6 +154,15 @@ echo "$REPORT3" | grep -q 'RAFT-1' || { echo "resumed report missing RAFT-1" >&2
 echo "$REPORT3" | grep -q 'RAFT-2' || { echo "resumed report missing RAFT-2" >&2; exit 1; }
 curl -sf "$BASE/v1/campaigns/$JOB3" | grep -q '"resumed": true' || { echo "recovered job not marked resumed" >&2; exit 1; }
 curl -sf "$BASE/metrics" | grep -q '^csnaked_jobs_resumed_total 1' || { echo "resumed counter wrong" >&2; exit 1; }
+# Rounds ride in the checkpoint side file, not the journal: after the
+# resumed job finished, the journal holds submissions, transitions and
+# monitor records only.
+RECORDS=$(sed -n 's/^{"t":"\([^"]*\)".*/\1/p' "$WORKDIR/graphs/jobs/journal.jsonl" | sort -u | tr '\n' ' ')
+[ -n "$RECORDS" ] || { echo "journal is empty" >&2; exit 1; }
+for t in $RECORDS; do
+  case "$t" in submit|state|mon-create|mon-delete) ;; *) echo "journal holds a \"$t\" record (types: $RECORDS)" >&2; exit 1 ;; esac
+done
+echo "journal record types: $RECORDS"
 echo "resumed after kill -9 and detected both storms"
 
 echo "OK: daemon smoke passed"
