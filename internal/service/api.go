@@ -69,9 +69,9 @@ type CampaignSpec struct {
 	// attempt plus retries); 0 or 1 means no retries. Failed attempts are
 	// retried with capped exponential backoff.
 	MaxAttempts int `json:"maxAttempts,omitempty"`
-	// DeadlineMS bounds each attempt's wall-clock run time; a stuck job
-	// past its deadline is cancelled by the watchdog and fails with
-	// "deadline_exceeded" (0 = no deadline).
+	// DeadlineMS bounds each attempt's wall-clock run time: the attempt's
+	// context expires and the attempt fails with "deadline_exceeded" (0 =
+	// no deadline).
 	DeadlineMS int64 `json:"deadlineMs,omitempty"`
 }
 

@@ -3,9 +3,10 @@
 // running jobs share one harness.TokenPool so the total number of
 // in-flight simulations is bounded no matter how many campaigns are
 // active. Each job runs on its own goroutine with a recover barrier
-// (a panicking campaign fails its job, never the daemon), owns a
-// cancellation context (DELETE), and fans completed rounds out to
-// event subscribers.
+// (a panicking campaign fails its job, never the daemon), runs each
+// attempt under one context -- cancelled by DELETE or a drain, expired
+// by the spec's deadline -- and fans completed rounds out to event
+// subscribers.
 //
 // With a data directory configured the manager is crash-safe: every
 // lifecycle transition is journaled (journal.go), anytime jobs persist
@@ -13,9 +14,8 @@
 // boot replays the journal to re-queue everything that was queued or
 // running when the daemon died (recovery.go). Self-healing rides on
 // top: failed attempts retry with capped exponential backoff up to the
-// spec's maxAttempts, a watchdog cancels jobs stuck past their deadline,
-// and admission control bounds the queue and sheds load when the worker
-// pool saturates.
+// spec's maxAttempts, and admission control bounds the queue and sheds
+// load when the worker pool saturates.
 
 package service
 
@@ -59,12 +59,10 @@ type Config struct {
 
 	// Test seams, left at their defaults in production: the
 	// per-subscriber event buffer (64; a subscriber that falls further
-	// behind drops items), the first retry backoff (500ms; attempt n waits
-	// retryBase << (n-1), capped at 5s), and the stuck-job watchdog's scan
-	// period (250ms).
-	subBuffer     int
-	retryBase     time.Duration
-	watchInterval time.Duration
+	// behind drops items) and the first retry backoff (500ms; attempt n
+	// waits retryBase << (n-1), capped at 5s).
+	subBuffer int
+	retryBase time.Duration
 }
 
 func (c *Config) defaults() {
@@ -82,9 +80,6 @@ func (c *Config) defaults() {
 	}
 	if c.retryBase <= 0 {
 		c.retryBase = 500 * time.Millisecond
-	}
-	if c.watchInterval <= 0 {
-		c.watchInterval = 250 * time.Millisecond
 	}
 }
 
@@ -116,10 +111,8 @@ type Job struct {
 
 	// Scoped to the running attempt (retryTimer: to the backoff wait after
 	// a failed one); transition drops them when the job moves on.
-	cancel      context.CancelFunc
-	deadline    time.Time
-	deadlineHit bool
-	retryTimer  *time.Timer
+	cancel     context.CancelFunc
+	retryTimer *time.Timer
 
 	attempt    int
 	userCancel bool
@@ -197,18 +190,15 @@ type Manager struct {
 	jl  *journal
 	jmu sync.Mutex
 
-	stopWatch chan struct{}
-	closeOnce sync.Once
-
 	// roundHook, when set (tests only, before any submission), runs
 	// synchronously on the campaign goroutine after each sealed round --
 	// the deterministic way to catch a job mid-flight.
 	roundHook func(j *Job, round int)
 
-	// monMu guards the monitor table. Lock ordering: monMu is a leaf --
-	// never acquire mu or call jlog/engine methods while holding it (an
-	// engine's own lock is held across ingestion, and Stats would block
-	// behind it).
+	// monMu guards the monitor table, which lives as long as the daemon.
+	// Lock ordering: monMu is a leaf -- never acquire mu or call engine
+	// methods while holding it (an engine's own lock is held across
+	// ingestion, and Stats would block behind it).
 	monMu    sync.Mutex
 	mons     map[string]*monitorRuntime
 	monOrder []string // creation order, for listing
@@ -250,14 +240,13 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		cfg:       cfg,
-		pool:      harness.NewTokenPool(cfg.Workers),
-		store:     store,
-		start:     time.Now(),
-		jobs:      make(map[string]*Job),
-		terminal:  make(map[JobState]int),
-		mons:      make(map[string]*monitorRuntime),
-		stopWatch: make(chan struct{}),
+		cfg:      cfg,
+		pool:     harness.NewTokenPool(cfg.Workers),
+		store:    store,
+		start:    time.Now(),
+		jobs:     make(map[string]*Job),
+		terminal: make(map[JobState]int),
+		mons:     make(map[string]*monitorRuntime),
 	}
 	if cfg.DataDir != "" {
 		jl, err := openJournal(filepath.Join(cfg.DataDir, "jobs"))
@@ -269,7 +258,6 @@ func NewManager(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 	}
-	go m.watchdog()
 	m.schedule()
 	return m, nil
 }
@@ -298,7 +286,7 @@ func (m *Manager) jlog(rec journalRecord) {
 }
 
 // compactJournal rewrites the journal to the minimal record set that
-// reproduces the current tables (at boot, and past the high-water mark).
+// reproduces the job table (at boot, and past the high-water mark).
 // jmu blocks appends meanwhile, so no later record can be lost.
 func (m *Manager) compactJournal() {
 	m.jmu.Lock()
@@ -306,11 +294,6 @@ func (m *Manager) compactJournal() {
 	m.mu.Lock()
 	recs := m.snapshotRecordsLocked()
 	m.mu.Unlock()
-	m.monMu.Lock()
-	for _, id := range m.monOrder {
-		recs = append(recs, m.mons[id].createRecord())
-	}
-	m.monMu.Unlock()
 	if err := m.jl.rewrite(recs); err != nil {
 		log.Printf("csnaked: journal compaction: %v", err)
 	}
@@ -373,8 +356,14 @@ func (m *Manager) schedule() {
 		}
 		j := m.popBest()
 		m.running++
-		ctx, cancel := context.WithCancel(context.Background())
-		j.cancel = cancel
+		// The attempt's one lifetime: DELETE and drains cancel it, the
+		// spec's deadline expires it.
+		var ctx context.Context
+		if ms := j.Spec.DeadlineMS; ms > 0 {
+			ctx, j.cancel = context.WithTimeout(context.Background(), time.Duration(ms)*time.Millisecond)
+		} else {
+			ctx, j.cancel = context.WithCancel(context.Background())
+		}
 		// A retry shows the last attempt's error until its own outcome.
 		m.transition(j, StateRunning, j.err) // releases m.mu
 		go m.runJob(j, ctx)
@@ -519,7 +508,7 @@ func (m *Manager) finish(j *Job, rep *csnake.Report, err error) {
 	switch {
 	case err == nil:
 		to = StateSucceeded
-	case errors.Is(err, context.Canceled) && j.deadlineHit:
+	case errors.Is(err, context.DeadlineExceeded):
 		to, errMsg = StateFailed, "deadline_exceeded"
 	case errors.Is(err, context.Canceled) && m.draining && !j.userCancel:
 		to, errMsg = StateInterrupted, "interrupted by shutdown"
@@ -568,10 +557,11 @@ func (m *Manager) finish(j *Job, rep *csnake.Report, err error) {
 // outside recover's journal fold. The caller holds m.mu -- so what it
 // decided the move on still holds -- and transition releases it. Under
 // the lock: state, error, timestamps, the attempt- and backoff-scoped
-// fields (a move to queued is always a retry), the lifetime counters.
-// Then, in order: a terminal job's resume checkpoint goes, the record is
-// journaled, the event published (a start has none), the streams and a
-// terminal job's done closed. Terminal jobs stay put: exactly once.
+// fields (a move to queued is always a retry; leaving running releases
+// the attempt's context), the lifetime counters. Then, in order: a
+// terminal job's resume checkpoint goes, the record is journaled, the
+// event published (a start has none), the streams and a terminal job's
+// done closed. Terminal jobs stay put: exactly once.
 func (m *Manager) transition(j *Job, to JobState, errMsg string) {
 	if j.state.Terminal() {
 		m.mu.Unlock()
@@ -579,7 +569,8 @@ func (m *Manager) transition(j *Job, to JobState, errMsg string) {
 	}
 	now := time.Now()
 	if j.state == StateRunning {
-		j.cancel, j.deadline, j.deadlineHit = nil, time.Time{}, false
+		j.cancel()
+		j.cancel = nil
 	}
 	if t := j.retryTimer; t != nil {
 		t.Stop()
@@ -592,9 +583,6 @@ func (m *Manager) transition(j *Job, to JobState, errMsg string) {
 		j.attempt++
 		if j.started.IsZero() {
 			j.started = now
-		}
-		if j.Spec.DeadlineMS > 0 {
-			j.deadline = now.Add(time.Duration(j.Spec.DeadlineMS) * time.Millisecond)
 		}
 	case to == StateQueued:
 		m.retries++
@@ -643,45 +631,6 @@ func spliceRecoveredRounds(js *report.JSONReport, rounds []report.JSONRound) {
 	}
 }
 
-// watchdog scans running jobs for blown deadlines and cancels them; the
-// attempt then fails with "deadline_exceeded" (and retries, if the spec
-// allows attempts).
-func (m *Manager) watchdog() {
-	t := time.NewTicker(m.cfg.watchInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopWatch:
-			return
-		case <-t.C:
-			now := time.Now()
-			m.cancelRunning(func(j *Job) bool {
-				if j.deadlineHit || j.deadline.IsZero() || !now.After(j.deadline) {
-					return false
-				}
-				j.deadlineHit = true
-				return true
-			})
-		}
-	}
-}
-
-// cancelRunning cancels every running campaign (cancel is set exactly
-// while a job runs) that pick, called under m.mu, selects.
-func (m *Manager) cancelRunning(pick func(*Job) bool) {
-	var cancels []context.CancelFunc
-	m.mu.Lock()
-	for _, j := range m.jobs {
-		if j.cancel != nil && pick(j) {
-			cancels = append(cancels, j.cancel)
-		}
-	}
-	m.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
-
 // Drain gracefully stops the manager: admissions are rejected, queued
 // jobs stay journaled as queued, and running jobs are cancelled -- they
 // finish as interrupted, resumable from their last sealed round at the
@@ -703,14 +652,11 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the watchdog and releases the journal handle. Idempotent.
+// Close releases the journal handle. Idempotent.
 func (m *Manager) Close() {
-	m.closeOnce.Do(func() {
-		close(m.stopWatch)
-		if m.jl != nil {
-			m.jl.close()
-		}
-	})
+	if m.jl != nil {
+		m.jl.close()
+	}
 }
 
 // HardStop simulates a daemon crash (kill -9) for tests: journal and
@@ -722,24 +668,28 @@ func (m *Manager) HardStop() {
 	if m.jl != nil {
 		m.jl.disable()
 	}
-	m.closeOnce.Do(func() { close(m.stopWatch) })
 	m.stopAll()
 }
 
-// stopAll closes admissions (nothing starts once draining is set), then
-// cancels every running campaign.
+// stopAll closes admissions (nothing starts once draining is set) and
+// cancels every running campaign (cancel is set exactly while a job
+// runs).
 func (m *Manager) stopAll() {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.draining = true
-	m.mu.Unlock()
-	m.cancelRunning(func(*Job) bool { return true })
+	for _, j := range m.jobs {
+		if j.cancel != nil {
+			j.cancel()
+		}
+	}
 }
 
-// Cancel cancels a job: a queued job (including one waiting out a retry
-// backoff) moves straight to cancelled, a running one has its context
-// cancelled (the campaign unwinds and the job finishes as cancelled).
-// Cancelling a terminal job is a no-op that reports the job's
-// existence.
+// Cancel cancels a job: a waiting job -- queued, backing off before a
+// retry, or interrupted by a drain and not yet resumed -- moves straight
+// to cancelled, a running one has its context cancelled (the campaign
+// unwinds and the job finishes as cancelled). Cancelling a terminal job
+// is a no-op that reports the job's existence.
 func (m *Manager) Cancel(id string) (*JobStatus, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -748,14 +698,15 @@ func (m *Manager) Cancel(id string) (*JobStatus, error) {
 		return nil, errUnknownJob(id)
 	}
 	j.userCancel = true
-	if cancel := j.cancel; j.state == StateQueued {
+	switch j.state {
+	case StateQueued, StateInterrupted:
 		m.queue = slices.DeleteFunc(m.queue, func(q *Job) bool { return q == j })
 		m.transition(j, StateCancelled, context.Canceled.Error()) // releases m.mu
-	} else {
+	case StateRunning:
+		j.cancel()
 		m.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+	default:
+		m.mu.Unlock()
 	}
 	return m.Status(id)
 }

@@ -1,6 +1,6 @@
 // This file is the durability layer: an append-only journal of job
-// submissions, job transitions and monitor create/delete records under
-// <data>/jobs, plus atomically-written side files: a per-job resume
+// submissions and job transitions under <data>/jobs, plus
+// atomically-written side files: a per-job resume
 // checkpoint (which also carries the rounds it resumes from) and a final
 // report. The journal is JSONL, fsynced per record, tolerant of a torn
 // final record (a crash mid-append loses at most that record), and
@@ -38,12 +38,10 @@ const journalMaxBytes = 1 << 20
 //   - "submit": a job entered the system (Job, Seq, Spec, Created).
 //   - "state": a lifecycle transition (State, Error, Attempt; terminal
 //     records also carry GraphID, Report, Sims, EarlyStopped).
-//   - "mon-create" / "mon-delete": online monitor lifecycle (Job is the
-//     monitor id, MonSpec its spec). Monitors re-create empty at boot:
-//     their evidence is stream-sourced, the producer re-ingests it.
 //
 // Replay ignores any other record type and unknown fields, such as the
-// "round" and "ckpt" records older daemons wrote.
+// "round", "ckpt", "mon-create" and "mon-delete" records older daemons
+// wrote; boot compaction drops them.
 type journalRecord struct {
 	T   string `json:"t"`
 	Job string `json:"job"`
@@ -61,8 +59,6 @@ type journalRecord struct {
 	Report       string `json:"report,omitempty"`
 	Sims         int    `json:"sims,omitempty"`
 	EarlyStopped bool   `json:"earlyStopped,omitempty"`
-
-	MonSpec *MonitorSpec `json:"monitor,omitempty"`
 }
 
 // journal is the on-disk job log. Appends are serialized by the

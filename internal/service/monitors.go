@@ -1,10 +1,10 @@
 // This file is the online-monitoring surface of csnaked: named monitor
 // instances wrap internal/monitor engines, ingest JSONL trace batches
 // over HTTP, and fan closed/broken cycle alerts out to SSE subscribers.
-// Monitors are journaled like jobs (create/delete records), so a daemon
-// restart re-creates them empty -- their evidence is stream-sourced and
-// re-ingestable by the producer, unlike campaign state which the service
-// itself owns.
+// Monitors live as long as the daemon and are not journaled: a monitor's
+// state is its window over the stream, so one re-created empty after a
+// restart would be a new detector anyway. The producer re-creates it and
+// re-ingests -- unlike campaign state, which the service itself owns.
 
 package service
 
@@ -26,7 +26,6 @@ const monitorBacklog = 1024
 // mutex also guards the replay backlog.
 type monitorRuntime struct {
 	id      string
-	seq     int
 	spec    MonitorSpec
 	created time.Time
 	mon     *monitor.Monitor
@@ -34,22 +33,6 @@ type monitorRuntime struct {
 	// No drop debt: a lost alert shows as a gap in the Seq numbers.
 	fan    fanout[monitor.Alert]
 	alerts []monitor.Alert
-}
-
-func newMonitorRuntime(id string, seq int, spec MonitorSpec, created time.Time) *monitorRuntime {
-	rt := &monitorRuntime{id: id, seq: seq, spec: spec, created: created}
-	rt.mon = monitor.New(monitor.Config{
-		Window:  time.Duration(spec.WindowMS) * time.Millisecond,
-		Buckets: spec.Buckets,
-		OnAlert: rt.onAlert,
-	})
-	return rt
-}
-
-// createRecord renders the monitor's journal "mon-create" record.
-func (rt *monitorRuntime) createRecord() journalRecord {
-	spec := rt.spec
-	return journalRecord{T: "mon-create", Job: rt.id, Seq: rt.seq, Created: rt.created, MonSpec: &spec}
 }
 
 // onAlert records the alert in the replay backlog and offers it to every
@@ -71,7 +54,7 @@ func (rt *monitorRuntime) subscribe(buffer int, follow bool) (<-chan monitor.Ale
 
 func errUnknownMonitor(id string) error { return fmt.Errorf("unknown monitor %q", id) }
 
-// CreateMonitor registers a new online monitor and journals it.
+// CreateMonitor registers a new online monitor.
 func (m *Manager) CreateMonitor(spec MonitorSpec) (*MonitorStatus, error) {
 	if spec.WindowMS < 0 {
 		return nil, fmt.Errorf("windowMs = %d: must be non-negative", spec.WindowMS)
@@ -79,39 +62,36 @@ func (m *Manager) CreateMonitor(spec MonitorSpec) (*MonitorStatus, error) {
 	if spec.Buckets < 0 {
 		return nil, fmt.Errorf("buckets = %d: must be non-negative", spec.Buckets)
 	}
+	rt := &monitorRuntime{spec: spec, created: time.Now()}
+	rt.mon = monitor.New(monitor.Config{
+		Window:  time.Duration(spec.WindowMS) * time.Millisecond,
+		Buckets: spec.Buckets,
+		OnAlert: rt.onAlert,
+	})
 	m.monMu.Lock()
 	m.monSeq++
-	rt := newMonitorRuntime(fmt.Sprintf("mon-%d", m.monSeq), m.monSeq, spec, time.Now())
+	rt.id = fmt.Sprintf("mon-%d", m.monSeq)
 	m.mons[rt.id] = rt
 	m.monOrder = append(m.monOrder, rt.id)
 	m.monMu.Unlock()
-	m.jlog(rt.createRecord())
 	return m.monitorStatus(rt), nil
 }
 
-// DeleteMonitor removes a monitor, ends its alert streams, and journals
-// the deletion. Its lifetime counters stay in /metrics.
+// DeleteMonitor removes a monitor and ends its alert streams. Its
+// lifetime counters stay in /metrics.
 func (m *Manager) DeleteMonitor(id string) error {
 	m.monMu.Lock()
-	rt, ok := m.dropMonitorLocked(id)
-	m.monMu.Unlock()
-	if !ok {
-		return errUnknownMonitor(id)
-	}
-	rt.fan.close()
-	m.jlog(journalRecord{T: "mon-delete", Job: id, Seq: rt.seq})
-	return nil
-}
-
-// dropMonitorLocked removes a monitor from the table and the listing
-// order, live or replaying a deletion. Caller holds monMu.
-func (m *Manager) dropMonitorLocked(id string) (*monitorRuntime, bool) {
 	rt, ok := m.mons[id]
 	if ok {
 		delete(m.mons, id)
 		m.monOrder = slices.DeleteFunc(m.monOrder, func(q string) bool { return q == id })
 	}
-	return rt, ok
+	m.monMu.Unlock()
+	if !ok {
+		return errUnknownMonitor(id)
+	}
+	rt.fan.close()
+	return nil
 }
 
 // getMonitor looks a runtime up by id.

@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -200,13 +199,13 @@ func TestMonitorLiveAlertStream(t *testing.T) {
 	}
 }
 
-// TestMonitorJournalRecreate: monitors survive a daemon restart as
-// empty instances (their evidence is re-ingestable by the producer),
-// deletions stick, and the id sequence never reuses a number.
-func TestMonitorJournalRecreate(t *testing.T) {
+// TestMonitorsEndWithDaemon: monitors live as long as the daemon. After
+// a restart on the same data directory none is listed, the old id is
+// unknown, the id sequence starts over, and the journal -- compacted at
+// boot -- holds the job's records only.
+func TestMonitorsEndWithDaemon(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, Config{Workers: 1, DataDir: dir})
-
 	a, err := m.CreateMonitor(MonitorSpec{Name: "keep", WindowMS: 60_000, Buckets: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -222,26 +221,24 @@ func TestMonitorJournalRecreate(t *testing.T) {
 	if err := m.DeleteMonitor(b.ID); err != nil {
 		t.Fatal(err)
 	}
-	m.Close()
-
-	m2 := newTestManager(t, Config{Workers: 1, DataDir: dir})
-	mons := m2.Monitors()
-	if len(mons) != 1 {
-		t.Fatalf("want 1 recovered monitor, got %+v", mons)
-	}
-	got := mons[0]
-	if got.ID != a.ID || got.Spec.Name != "keep" || got.Spec.WindowMS != 60_000 || got.Spec.Buckets != 6 {
-		t.Fatalf("recovered monitor: %+v", got)
-	}
-	if got.Stats.Records != 0 || got.Stats.CyclesActive != 0 {
-		t.Fatalf("recovered monitor must be empty: %+v", got.Stats)
-	}
-	// Fresh ids continue past both journaled monitors.
-	c, err := m2.CreateMonitor(MonitorSpec{})
+	st, err := m.Submit(tinySpec(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID != fmt.Sprintf("mon-%d", 3) {
-		t.Fatalf("id sequence must continue past deletions: got %s", c.ID)
+	m.Await(st.ID)
+	m.Close()
+
+	m2 := newTestManager(t, Config{Workers: 1, DataDir: dir})
+	if mons := m2.Monitors(); len(mons) != 0 {
+		t.Fatalf("monitors after restart = %+v, want none", mons)
+	}
+	if _, ok := m2.getMonitor(a.ID); ok {
+		t.Fatalf("monitor %s survived the restart", a.ID)
+	}
+	if c, err := m2.CreateMonitor(MonitorSpec{}); err != nil || c.ID != "mon-1" {
+		t.Fatalf("first monitor after restart = %+v / %v, want mon-1", c, err)
+	}
+	if rows := journalRows(t, dir); strings.Join(rows, " ") != "submit: state:succeeded" {
+		t.Fatalf("journal rows = %v, want the job's submit and state only", rows)
 	}
 }

@@ -6,7 +6,8 @@
 // sealed round; batch jobs (and anytime jobs whose side file is missing,
 // corrupt, in an older format or inconsistent) re-run from scratch.
 // Replay is idempotent: records duplicated by a crash between append and
-// compaction coalesce into the same job states.
+// compaction coalesce into the same job states. Monitors are not
+// recovered: they live as long as the daemon (monitors.go).
 
 package service
 
@@ -17,8 +18,7 @@ import (
 )
 
 // recover rebuilds the manager's job table from the journal. Called
-// from NewManager before the watchdog and scheduler start, so it needs
-// no locking.
+// from NewManager before the scheduler starts, so it needs no locking.
 func (m *Manager) recover() error {
 	recs, skipped, err := m.jl.replay()
 	if err != nil {
@@ -74,17 +74,6 @@ func (m *Manager) recover() error {
 			if rec.EarlyStopped {
 				j.earlyStopped = true
 			}
-		case "mon-create":
-			if _, ok := m.mons[rec.Job]; ok || rec.MonSpec == nil {
-				continue // idempotence: duplicate create records coalesce
-			}
-			rt := newMonitorRuntime(rec.Job, rec.Seq, *rec.MonSpec, rec.Created)
-			m.mons[rt.id] = rt
-			m.monOrder = append(m.monOrder, rt.id)
-			m.monSeq = max(m.monSeq, rec.Seq)
-		case "mon-delete":
-			m.dropMonitorLocked(rec.Job)
-			m.monSeq = max(m.monSeq, rec.Seq)
 		}
 	}
 

@@ -247,8 +247,8 @@ const fixtureReport = `{"schema":1,"system":"svc-tiny","faults":2,"budget":16,"e
 
 // TestJournalFixtureReplay boots a manager on the literal fixture -- and
 // once more on the journal that boot compacted it into -- and checks the
-// job table, the lifetime counters and the monitor table record by
-// record.
+// job table and the lifetime counters record by record. The monitor
+// records are ignored: monitors live as long as the daemon.
 func TestJournalFixtureReplay(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
@@ -300,16 +300,16 @@ func TestJournalFixtureReplay(t *testing.T) {
 			snap.JobsQueued != 0 || snap.JobsRunning != 0 || snap.SimsTotal != 24 || snap.RoundsTotal != 2 {
 			t.Fatalf("%s: counters = %+v", boot, snap)
 		}
-		mons := m.Monitors()
-		if len(mons) != 1 || mons[0].ID != "mon-2" || mons[0].Spec != (MonitorSpec{}) || !mons[0].Created.Equal(at("2026-01-02T03:04:10Z")) {
-			t.Fatalf("%s: monitors = %+v", boot, mons)
+		if mons := m.Monitors(); len(mons) != 0 {
+			t.Fatalf("%s: monitors = %+v, want none", boot, mons)
 		}
 		m.Close()
 	}
-	// Both id sequences continue past everything the journal named.
+	// The job sequence continues past everything the journal named; the
+	// monitor sequence starts over.
 	m := newTestManager(t, Config{Workers: 1, DataDir: dir})
-	if mon, err := m.CreateMonitor(MonitorSpec{}); err != nil || mon.ID != "mon-3" {
-		t.Fatalf("next monitor = %+v / %v, want mon-3", mon, err)
+	if mon, err := m.CreateMonitor(MonitorSpec{}); err != nil || mon.ID != "mon-1" {
+		t.Fatalf("next monitor = %+v / %v, want mon-1", mon, err)
 	}
 	st, err := m.Submit(tinySpec(7))
 	if err != nil || st.ID != "job-3" {
@@ -473,6 +473,64 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 	}
 	if got := servedReport(t, m2, st.ID); string(got) != string(want) {
 		t.Fatalf("resumed report differs from uninterrupted run\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestCancelInterruptedJob: a DELETE on a job a drain interrupted
+// cancels it for good -- journaled, its checkpoint side file removed --
+// so the next boot serves it cancelled instead of resuming it.
+func TestCancelInterruptedJob(t *testing.T) {
+	spec := tinySpec(11)
+	spec.WaveSize = 2
+	dir := t.TempDir()
+	m1 := newTestManager(t, Config{Workers: 1, MaxJobs: 1, DataDir: dir})
+	reached, release := holdAtRound(m1, 2)
+	st, err := m1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- m1.Drain(ctx)
+	}()
+	for {
+		m1.mu.Lock()
+		d := m1.draining
+		m1.mu.Unlock()
+		if d {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	release()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	ckpt := filepath.Join(dir, "jobs", ckptName(st.ID))
+	if is, _ := m1.Status(st.ID); is.State != StateInterrupted {
+		t.Fatalf("drained job state = %s (%s), want interrupted", is.State, is.Error)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("interrupted job has no checkpoint: %v", err)
+	}
+	if fin, err := m1.Cancel(st.ID); err != nil || fin.State != StateCancelled {
+		t.Fatalf("cancel of an interrupted job: %+v / %v, want cancelled", fin, err)
+	}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("cancelled job kept its checkpoint: %v", err)
+	}
+	m1.Close()
+
+	m2 := newTestManager(t, Config{Workers: 1, MaxJobs: 1, DataDir: dir})
+	if got, err := m2.Status(st.ID); err != nil || got.State != StateCancelled || got.Resumed {
+		t.Fatalf("rebooted job: %+v / %v, want cancelled, not resumed", got, err)
+	}
+	if snap := m2.Snapshot(); snap.JobsResumed != 0 || snap.JobsCancelled != 1 {
+		t.Fatalf("resumed=%d cancelled=%d, want 0/1", snap.JobsResumed, snap.JobsCancelled)
 	}
 }
 
@@ -685,11 +743,11 @@ func TestPanicCapturesStack(t *testing.T) {
 	}
 }
 
-// TestDeadlineExceeded: the watchdog cancels a job stuck past its
-// deadline (here: starved of worker tokens) and it fails with the
-// distinguished deadline_exceeded error.
+// TestDeadlineExceeded: the attempt's context expires on a job stuck
+// past its deadline (here: starved of worker tokens) and it fails with
+// the distinguished deadline_exceeded error.
 func TestDeadlineExceeded(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, watchInterval: 10 * time.Millisecond})
+	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1})
 	if !m.Pool().Acquire(context.Background()) {
 		t.Fatal("could not starve the pool")
 	}
@@ -714,7 +772,7 @@ func TestDeadlineExceeded(t *testing.T) {
 // ended did so by blowing its deadline -- the deadline verdict belongs
 // to that attempt, not to the job.
 func TestCancelDuringRetryBackoff(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, watchInterval: 10 * time.Millisecond, retryBase: time.Hour})
+	m := newTestManager(t, Config{Workers: 1, MaxJobs: 1, retryBase: time.Hour})
 	if !m.Pool().Acquire(context.Background()) {
 		t.Fatal("could not starve the pool")
 	}

@@ -9,8 +9,9 @@
 # alert stream to carry both seeded storm fault ids. Then the crash
 # journey: kill -9 the daemon mid-campaign, restart it on the same
 # data directory, require the journal-recovered job to resume and still
-# detect both storms, and require the journal to hold no per-round
-# records. CI runs this; it also works locally:
+# detect both storms, the monitor to be gone (monitors live as long as
+# the daemon), and the journal to hold job submissions and transitions
+# only. CI runs this; it also works locally:
 #
 #   ./tools/service_smoke.sh
 set -euo pipefail
@@ -153,16 +154,22 @@ REPORT3=$(curl -sf "$BASE/v1/campaigns/$JOB3/report")
 echo "$REPORT3" | grep -q 'RAFT-1' || { echo "resumed report missing RAFT-1" >&2; exit 1; }
 echo "$REPORT3" | grep -q 'RAFT-2' || { echo "resumed report missing RAFT-2" >&2; exit 1; }
 curl -sf "$BASE/v1/campaigns/$JOB3" | grep -q '"resumed": true' || { echo "recovered job not marked resumed" >&2; exit 1; }
-curl -sf "$BASE/metrics" | grep -q '^csnaked_jobs_resumed_total 1' || { echo "resumed counter wrong" >&2; exit 1; }
+METRICS=$(curl -sf "$BASE/metrics")
+echo "$METRICS" | grep -q '^csnaked_jobs_resumed_total 1' || { echo "resumed counter wrong" >&2; exit 1; }
+# Monitors live as long as the daemon: the restart ended the one above.
+[ "$(curl -sf "$BASE/v1/monitors" | tr -d ' \n')" = '[]' ] || { echo "monitors listed after restart" >&2; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/monitors/$MON")
+[ "$CODE" = 404 ] || { echo "monitor $MON answers $CODE after restart, want 404" >&2; exit 1; }
+echo "$METRICS" | grep -q '^csnaked_monitors_active 0' || { echo "active monitors after restart" >&2; exit 1; }
 # Rounds ride in the checkpoint side file, not the journal: after the
-# resumed job finished, the journal holds submissions, transitions and
-# monitor records only.
+# resumed job finished, the journal holds submissions and transitions
+# only.
 RECORDS=$(sed -n 's/^{"t":"\([^"]*\)".*/\1/p' "$WORKDIR/graphs/jobs/journal.jsonl" | sort -u | tr '\n' ' ')
 [ -n "$RECORDS" ] || { echo "journal is empty" >&2; exit 1; }
 for t in $RECORDS; do
-  case "$t" in submit|state|mon-create|mon-delete) ;; *) echo "journal holds a \"$t\" record (types: $RECORDS)" >&2; exit 1 ;; esac
+  case "$t" in submit|state) ;; *) echo "journal holds a \"$t\" record (types: $RECORDS)" >&2; exit 1 ;; esac
 done
 echo "journal record types: $RECORDS"
-echo "resumed after kill -9 and detected both storms"
+echo "resumed after kill -9, detected both storms, monitors ended with the daemon"
 
 echo "OK: daemon smoke passed"
