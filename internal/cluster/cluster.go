@@ -7,10 +7,7 @@ package cluster
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/faults"
 )
@@ -161,29 +158,31 @@ func CosineDistance(a, b Vector) float64 {
 	return d
 }
 
-// parallelFillThreshold is the item count below which Hierarchical
-// fills its distance matrix inline: tiny matrices are not worth the
-// goroutine handoff.
-const parallelFillThreshold = 64
-
 // Hierarchical performs agglomerative average-linkage clustering over
 // items with the given pairwise distance, merging while the closest pair
 // of clusters is within threshold. It returns cluster membership as a
 // slice of item-index groups, deterministic for a fixed input order.
 //
-// Above a small size the pairwise distance matrix is filled in parallel
-// (each cell is computed once and written to its own slot, so the fill
-// is deterministic by construction); dist must therefore be safe for
-// concurrent calls -- CosineDistance over pre-built vectors, the one
-// distance this codebase uses, is a pure read. The agglomeration loop
-// itself stays serial: merge order is data-dependent and the matrix fill
-// dominates (it is the O(n^2) Table-4 cost on cycle-dense targets).
+// The pairwise distance matrix is filled serially, each cell computed
+// once: the clustered items are a campaign's phase-one runs, at most one
+// per fault and so at most 33 on the registered systems, far below the
+// size where fanning the fill out to goroutines would pay for the
+// handoff.
 func Hierarchical(n int, dist func(i, j int) float64, threshold float64) [][]int {
 	if n == 0 {
 		return nil
 	}
 	// Cache the symmetric distance matrix.
-	d := fillMatrix(n, dist, runtime.GOMAXPROCS(0))
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := dist(i, j)
+			d[i][j], d[j][i] = v, v
+		}
+	}
 	clusters := make([][]int, n)
 	for i := range clusters {
 		clusters[i] = []int{i}
@@ -222,55 +221,6 @@ func Hierarchical(n int, dist func(i, j int) float64, threshold float64) [][]int
 	// Deterministic output order: by smallest member index.
 	sort.Slice(clusters, func(a, b int) bool { return clusters[a][0] < clusters[b][0] })
 	return clusters
-}
-
-// fillMatrix computes the symmetric n x n pairwise distance matrix,
-// fanning the rows across up to workers goroutines when the matrix is
-// big enough to be worth it. Each cell is computed exactly once and
-// written to its own slots, so the result is identical for every worker
-// count -- the fill is deterministic by construction, not by reduction
-// order.
-func fillMatrix(n int, dist func(i, j int) float64, workers int) [][]float64 {
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
-	fillRow := func(i int) {
-		for j := i + 1; j < n; j++ {
-			v := dist(i, j)
-			d[i][j], d[j][i] = v, v
-		}
-	}
-	if n < parallelFillThreshold || workers <= 1 {
-		for i := 0; i < n; i++ {
-			fillRow(i)
-		}
-		return d
-	}
-	// Row-partitioned fan-out. Rows shrink linearly (row i has n-1-i
-	// cells), so workers pull rows from a shared counter instead of
-	// taking fixed stripes -- the tail rows are nearly free and a static
-	// split would leave the first worker with half the work.
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fillRow(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return d
 }
 
 // SimScore computes the intra-cluster interference similarity (§A.3

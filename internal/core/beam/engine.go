@@ -88,7 +88,10 @@ func (m *matcher) matchIdx(i, j int) bool {
 	return intersects(ix.ToFull[i], ix.FromFull[j])
 }
 
-// ichain is the compact chain representation: indices into the edge slice.
+// ichain is what a sink sees of one chain: indices into the edge slice
+// plus the running score. Every sink call gets the calling worker's
+// scratch chain, which the worker's next chain overwrites, so a sink that
+// keeps anything past the call must copy it.
 type ichain struct {
 	idx      []int
 	score    float64
@@ -96,18 +99,22 @@ type ichain struct {
 	delayInj uint8 // count of distinct delay injections
 }
 
-func (m *matcher) meanScore(c *ichain) float64 {
-	if c.injs == 0 {
+func (c *ichain) mean() float64 { return meanOf(c.score, int32(c.injs)) }
+
+// meanOf is the beam's ranking key: the mean SimScore of a chain's
+// injections, 1 for a chain of connectors only.
+func meanOf(score float64, injs int32) float64 {
+	if injs == 0 {
 		return 1
 	}
-	return c.score / float64(c.injs)
+	return score / float64(injs)
 }
 
-// contains reports whether the chain already uses edge j (chains never
+// containsEdge reports whether a chain already uses edge j (chains never
 // repeat an edge: a repeated edge only re-traverses an already-found
 // sub-cycle).
-func (c *ichain) contains(j int) bool {
-	for _, k := range c.idx {
+func containsEdge(row []int32, j int32) bool {
+	for _, k := range row {
 		if k == j {
 			return true
 		}
@@ -115,15 +122,15 @@ func (c *ichain) contains(j int) bool {
 	return false
 }
 
-// countsDelay reports whether appending edge j adds a NEW distinct delay
-// injection.
-func (m *matcher) countsDelay(c *ichain, j int) bool {
+// countsDelay reports whether appending edge j to the chain row adds a
+// NEW distinct delay injection.
+func (m *matcher) countsDelay(row []int32, j int) bool {
 	ix := m.ix
 	if ix.Connector[j] || ix.FromClass[j] != faults.ClassDelay {
 		return false
 	}
 	from := ix.From[j]
-	for _, k := range c.idx {
+	for _, k := range row {
 		if !ix.Connector[k] && ix.From[k] == from {
 			return false
 		}
@@ -131,30 +138,149 @@ func (m *matcher) countsDelay(c *ichain, j int) bool {
 	return true
 }
 
-// mkChain seeds a length-1 chain from edge i.
-func (m *matcher) mkChain(i int) ichain {
-	ix := m.ix
-	c := ichain{idx: []int{i}}
-	if !ix.Connector[i] {
-		c.injs = 1
-		c.score = m.scores[i]
-		if ix.FromClass[i] == faults.ClassDelay {
-			c.delayInj = 1
+// chainRows holds chains of one length in flat columns: row r's edge ids
+// are idx[r*width:(r+1)*width], and its score sum, injection count and
+// distinct-delay-injection count sit at index r of the other columns.
+// Once the columns have grown, adding or overwriting a row allocates
+// nothing, so the engine reuses the same buffers level after level.
+type chainRows struct {
+	width int
+	idx   []int32
+	score []float64
+	injs  []int32
+	delay []uint8
+}
+
+func (r *chainRows) reset(width int) {
+	r.width = width
+	r.idx, r.score, r.injs, r.delay = r.idx[:0], r.score[:0], r.injs[:0], r.delay[:0]
+}
+
+func (r *chainRows) len() int { return len(r.score) }
+
+func (r *chainRows) row(i int) []int32 { return r.idx[i*r.width : (i+1)*r.width] }
+
+// push appends the chain parent+j.
+func (r *chainRows) push(parent []int32, j int32, score float64, injs int32, delay uint8) {
+	r.idx = append(append(r.idx, parent...), j)
+	r.score = append(r.score, score)
+	r.injs = append(r.injs, injs)
+	r.delay = append(r.delay, delay)
+}
+
+// set overwrites row i with the chain parent+j.
+func (r *chainRows) set(i int, parent []int32, j int32, score float64, injs int32, delay uint8) {
+	row := r.row(i)
+	copy(row, parent)
+	row[len(parent)] = j
+	r.score[i], r.injs[i], r.delay[i] = score, injs, delay
+}
+
+// before reports whether chain a (parent ap plus edge aj, mean score am)
+// ranks ahead of row b (mean score bm) in the beam's total order: mean
+// score, then edge ids lexicographically. Rows of one level share their
+// width, and equal ids mean equal rows.
+func before(am float64, ap []int32, aj int32, bm float64, b []int32) bool {
+	if am != bm {
+		return am < bm
+	}
+	for k, e := range ap {
+		if e != b[k] {
+			return e < b[k]
 		}
 	}
+	return aj < b[len(ap)]
+}
+
+// rowBefore is before for rows a and b of r.
+func (r *chainRows) rowBefore(a, b int) bool {
+	ra := r.row(a)
+	n := len(ra) - 1
+	return before(meanOf(r.score[a], r.injs[a]), ra[:n], ra[n], meanOf(r.score[b], r.injs[b]), r.row(b))
+}
+
+// chainWorker is one expansion worker's state, reused across levels.
+type chainWorker struct {
+	// kept holds the best children this worker generated at the current
+	// level, at most BeamSize of them.
+	kept chainRows
+	// heap holds kept's row ids worst first once kept is full; until
+	// then every child is kept and no order is maintained.
+	heap []int32
+	// children counts the level's queue-worthy children, kept or not.
+	children int
+	scratch  ichain
+}
+
+// chain fills the worker's scratch chain with parent+j for a sink call.
+func (w *chainWorker) chain(parent []int32, j int32, score float64, injs int32, delay uint8) *ichain {
+	c := &w.scratch
+	c.idx = c.idx[:0]
+	for _, k := range parent {
+		c.idx = append(c.idx, int(k))
+	}
+	c.idx = append(c.idx, int(j))
+	c.score, c.injs, c.delayInj = score, int(injs), delay
 	return c
+}
+
+// offer keeps the chain parent+j if it ranks among the best beam chains
+// offered since kept was reset: a candidate is compared with the worst
+// kept row before anything is written, and a winner overwrites that row.
+func (w *chainWorker) offer(beam int, parent []int32, j int32, score float64, injs int32, delay uint8) {
+	k := &w.kept
+	if k.len() < beam {
+		k.push(parent, j, score, injs, delay)
+		if k.len() == beam {
+			w.heap = w.heap[:0]
+			for i := 0; i < beam; i++ {
+				w.heap = append(w.heap, int32(i))
+			}
+			for i := beam/2 - 1; i >= 0; i-- {
+				w.down(i)
+			}
+		}
+		return
+	}
+	worst := int(w.heap[0])
+	if !before(meanOf(score, injs), parent, j, meanOf(k.score[worst], k.injs[worst]), k.row(worst)) {
+		return
+	}
+	k.set(worst, parent, j, score, injs, delay)
+	w.down(0)
+}
+
+// down sifts heap position i toward the leaves until no child ranks
+// behind it.
+func (w *chainWorker) down(i int) {
+	h, k := w.heap, &w.kept
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && k.rowBefore(int(h[c]), int(h[c+1])) {
+			c++
+		}
+		if !k.rowBefore(int(h[i]), int(h[c])) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // chainSink receives every cyclic chain the expansion closes, with the
 // chain state as discovered (its idx starts at the rotation the search
 // grew it from). Sinks may be called concurrently from expansion workers
-// and must serialize internally.
+// and must serialize internally; the chain is the worker's scratch (see
+// ichain).
 type chainSink func(c *ichain)
 
 // nearSink receives every chain whose newest edge returns to the chain's
 // start fault without passing the closing compatibility check: a cycle
-// one piece of evidence short of closing. Same concurrency contract as
-// chainSink.
+// one piece of evidence short of closing. Same concurrency and scratch
+// contract as chainSink.
 type nearSink func(idx []int)
 
 // runChains is the shared chain-expansion core behind the one-shot
@@ -169,106 +295,131 @@ type nearSink func(idx []int)
 // closes early. The returned flag reports whether any level truncated
 // the beam -- in which case the enumeration was not exhaustive and
 // incremental reuse of its results is unsound.
+//
+// Each level's queue is the best opt.BeamSize of the previous level's
+// children under the beam's total order (before). Every worker keeps
+// only its own best opt.BeamSize, and worker 0 then absorbs the others'
+// through the same bounded selection, so a level never stores more than
+// opt.Workers * opt.BeamSize chains, and the queue is the same set for
+// every worker count. Its order is not kept: no sink depends on arrival
+// order. The last level's children are counted for the truncation flag
+// but never stored.
 func (m *matcher) runChains(seeds []int, opt Options, through bool, near nearSink, sink chainSink) bool {
 	ix := m.ix
-	truncated := false
-	queue := make([]ichain, 0, len(seeds))
+	ws := make([]chainWorker, opt.Workers)
+	queue := &chainRows{width: 1}
 	for _, i := range seeds {
-		c := m.mkChain(i)
-		if opt.MaxDelayInjections >= 0 && int(c.delayInj) > opt.MaxDelayInjections {
+		var (
+			score float64
+			injs  int32
+			delay uint8
+		)
+		if !ix.Connector[i] {
+			injs, score = 1, m.scores[i]
+			if ix.FromClass[i] == faults.ClassDelay {
+				delay = 1
+			}
+		}
+		if opt.MaxDelayInjections >= 0 && int(delay) > opt.MaxDelayInjections {
 			continue
 		}
 		if m.matchIdx(i, i) {
-			// Sink a copy: addressing c itself would heap-box every seed
-			// chain (the sink callee is opaque to escape analysis).
-			closed := c
-			sink(&closed)
+			sink(ws[0].chain(nil, int32(i), score, injs, delay))
 		} else if near != nil && ix.To[i] == ix.From[i] {
-			near(c.idx)
+			near(ws[0].chain(nil, int32(i), score, injs, delay).idx)
 		}
-		queue = append(queue, c)
+		queue.push(nil, int32(i), score, injs, delay)
 	}
-	for level := 1; level < opt.MaxLen && len(queue) > 0; level++ {
-		next := m.expand(queue, opt, through, near, sink)
-		sort.Slice(next, func(a, b int) bool {
-			sa, sb := m.meanScore(&next[a]), m.meanScore(&next[b])
-			if sa != sb {
-				return sa < sb
-			}
-			return lessIdx(next[a].idx, next[b].idx)
-		})
-		if len(next) > opt.BeamSize {
-			truncated = true
-			next = next[:opt.BeamSize]
+	truncated := false
+	for level := 1; level < opt.MaxLen && queue.len() > 0; level++ {
+		last := level == opt.MaxLen-1
+		shards := m.expand(ws, queue, opt, through, last, near, sink)
+		children := 0
+		for w := range ws[:shards] {
+			children += ws[w].children
 		}
-		queue = next
+		if children > opt.BeamSize {
+			truncated = true
+		}
+		if last {
+			break
+		}
+		w0 := &ws[0]
+		for w := 1; w < shards; w++ {
+			k := &ws[w].kept
+			for i := 0; i < k.len(); i++ {
+				row := k.row(i)
+				n := len(row) - 1
+				w0.offer(opt.BeamSize, row[:n], row[n], k.score[i], k.injs[i], k.delay[i])
+			}
+		}
+		*queue, w0.kept = w0.kept, *queue
 	}
 	return truncated
 }
 
-func (m *matcher) expand(queue []ichain, opt Options, through bool, near nearSink, sink chainSink) []ichain {
+// expand grows every queued chain by one edge on up to len(ws) workers
+// (worker w takes rows w, w+n, ...) and returns the number of workers
+// used. Closed and near chains go to the sinks as they are found; every
+// queue-worthy child is counted and, unless last is set, offered to its
+// worker's bounded beam.
+func (m *matcher) expand(ws []chainWorker, queue *chainRows, opt Options, through, last bool, near nearSink, sink chainSink) int {
 	ix := m.ix
-	shards := opt.Workers
-	if shards > len(queue) {
-		shards = len(queue)
+	shards := min(len(ws), queue.len())
+	work := func(w int) {
+		wk := &ws[w]
+		wk.kept.reset(queue.width + 1)
+		wk.children = 0
+		for qi := w; qi < queue.len(); qi += shards {
+			parent := queue.row(qi)
+			lastEdge, first := int(parent[len(parent)-1]), int(parent[0])
+			for _, j32 := range ix.ByFrom[ix.To[lastEdge]] {
+				j := int(j32)
+				if containsEdge(parent, j32) || !m.matchIdx(lastEdge, j) {
+					continue
+				}
+				nd := queue.delay[qi]
+				if m.countsDelay(parent, j) {
+					nd++
+				}
+				if opt.MaxDelayInjections >= 0 && int(nd) > opt.MaxDelayInjections {
+					continue
+				}
+				score, injs := queue.score[qi], queue.injs[qi]
+				if !ix.Connector[j] {
+					injs++
+					score += m.scores[j]
+				}
+				closes := m.matchIdx(j, first)
+				if closes {
+					sink(wk.chain(parent, j32, score, injs, nd))
+					if !through {
+						continue
+					}
+				} else if near != nil && ix.To[j] == ix.From[first] {
+					near(wk.chain(parent, j32, score, injs, nd).idx)
+				}
+				wk.children++
+				if !last {
+					wk.offer(opt.BeamSize, parent, j32, score, injs, nd)
+				}
+			}
+		}
 	}
-	if shards == 0 {
-		return nil
+	if shards == 1 {
+		work(0)
+		return 1
 	}
-	results := make([][]ichain, shards)
 	var wg sync.WaitGroup
 	for w := 0; w < shards; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var local []ichain
-			for qi := w; qi < len(queue); qi += shards {
-				c := &queue[qi]
-				last := c.idx[len(c.idx)-1]
-				for _, j32 := range ix.ByFrom[ix.To[last]] {
-					j := int(j32)
-					if c.contains(j) || !m.matchIdx(last, j) {
-						continue
-					}
-					nd := c.delayInj
-					if m.countsDelay(c, j) {
-						nd++
-					}
-					if opt.MaxDelayInjections >= 0 && int(nd) > opt.MaxDelayInjections {
-						continue
-					}
-					nc := ichain{
-						idx:      append(append(make([]int, 0, len(c.idx)+1), c.idx...), j),
-						score:    c.score,
-						injs:     c.injs,
-						delayInj: nd,
-					}
-					if !ix.Connector[j] {
-						nc.injs++
-						nc.score += m.scores[j]
-					}
-					if m.matchIdx(j, nc.idx[0]) {
-						sink(&nc)
-						if through {
-							local = append(local, nc)
-						}
-					} else {
-						if near != nil && ix.To[j] == ix.From[nc.idx[0]] {
-							near(nc.idx)
-						}
-						local = append(local, nc)
-					}
-				}
-			}
-			results[w] = local
+			work(w)
 		}(w)
 	}
 	wg.Wait()
-	var next []ichain
-	for _, r := range results {
-		next = append(next, r...)
-	}
-	return next
+	return shards
 }
 
 // bestEntry caches the winning candidate per signature: the cycle
@@ -287,23 +438,31 @@ type bestEntry struct {
 // Comparing index rotations instead of rendered edge keys keeps the
 // duplicate-arrival path (every rotation of every cycle) free of string
 // building, and the Cycle itself (the edge slice) is materialized only
-// when the candidate actually wins its dedup slot.
+// when the candidate actually wins its dedup slot. can may be a sink's
+// scratch, so a winner keeps a copy.
 func (m *matcher) mergeBest(best map[string]*bestEntry, can []int, score float64) {
-	m.mergeBestSig(best, m.signatureOf(can), can, score)
+	if e := m.mergeBestSig(best, m.signatureOf(can), can, score); e != nil {
+		e.idx = append([]int(nil), can...)
+	}
 }
 
 // mergeBestSig is mergeBest with a precomputed signature (the
 // incremental fold caches signatures per stored chain, so re-ranking a
-// round builds no strings for unchanged chains).
-func (m *matcher) mergeBestSig(best map[string]*bestEntry, sig string, can []int, score float64) {
+// round builds no strings for unchanged chains) and a can that stays
+// unchanged: a winning candidate stores it as is. It returns the winner's
+// entry, or nil when the candidate lost.
+func (m *matcher) mergeBestSig(best map[string]*bestEntry, sig string, can []int, score float64) *bestEntry {
 	if e, ok := best[sig]; !ok || score < e.cy.Score ||
 		(score == e.cy.Score && lessIdx(can, e.idx)) {
 		cy := Cycle{Edges: make([]fca.Edge, len(can)), Score: score}
 		for i, k := range can {
 			cy.Edges[i] = m.edges[k]
 		}
-		best[sig] = &bestEntry{cy: cy, idx: can}
+		e = &bestEntry{cy: cy, idx: can}
+		best[sig] = e
+		return e
 	}
+	return nil
 }
 
 // orderBest renders the final cycle list sorted by (score, signature),
@@ -344,7 +503,7 @@ func searchFast(g *graph.Graph, simScoreOf func(faults.ID) float64, opt Options)
 		if m.oneNestFamilyIdx(can, opt.NestGroups) {
 			return
 		}
-		score := m.meanScore(c)
+		score := c.mean()
 		mu.Lock()
 		m.mergeBest(best, can, score)
 		mu.Unlock()
@@ -470,8 +629,7 @@ func (m *matcher) validCycle(can []int, opt Options) bool {
 // chain's edge-index sequence: every rotation of a cycle normalizes to
 // the same representative, and the order is total over distinct edge
 // sequences (indices are unique within a chain). Already-canonical
-// chains are returned as-is (the caller owns idx and never mutates it
-// afterwards).
+// chains are returned as-is, so the result may alias idx.
 func canonicalRotation(idx []int) []int {
 	bestR := 0
 	for r := 1; r < len(idx); r++ {

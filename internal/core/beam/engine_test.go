@@ -1,7 +1,11 @@
 package beam
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -156,11 +160,309 @@ func TestCountsDelayDistinct(t *testing.T) {
 		{From: "l2", To: "z", Kind: faults.SD, FromClass: faults.ClassDelay, ToClass: faults.ClassDelay},
 	}
 	m := mkMatcher(edges, nil)
-	c := &ichain{idx: []int{0}}
-	if m.countsDelay(c, 1) {
+	row := []int32{0}
+	if m.countsDelay(row, 1) {
 		t.Error("same delay fault must not count twice")
 	}
-	if !m.countsDelay(c, 2) {
+	if !m.countsDelay(row, 2) {
 		t.Error("a new delay fault must count")
+	}
+}
+
+// refRunChains is the reference beam: every child a fresh slice, each
+// level's children concatenated, fully sorted by (mean score, edge ids)
+// and truncated to BeamSize. runChains must sink, near-report and flag
+// truncation exactly as it does.
+func (m *matcher) refRunChains(seeds []int, opt Options, through bool, near nearSink, sink chainSink) bool {
+	ix := m.ix
+	truncated := false
+	queue := make([]ichain, 0, len(seeds))
+	for _, i := range seeds {
+		c := ichain{idx: []int{i}}
+		if !ix.Connector[i] {
+			c.injs = 1
+			c.score = m.scores[i]
+			if ix.FromClass[i] == faults.ClassDelay {
+				c.delayInj = 1
+			}
+		}
+		if opt.MaxDelayInjections >= 0 && int(c.delayInj) > opt.MaxDelayInjections {
+			continue
+		}
+		if m.matchIdx(i, i) {
+			closed := c
+			sink(&closed)
+		} else if near != nil && ix.To[i] == ix.From[i] {
+			near(c.idx)
+		}
+		queue = append(queue, c)
+	}
+	for level := 1; level < opt.MaxLen && len(queue) > 0; level++ {
+		next := m.refExpand(queue, opt, through, near, sink)
+		sort.Slice(next, func(a, b int) bool {
+			sa, sb := next[a].mean(), next[b].mean()
+			if sa != sb {
+				return sa < sb
+			}
+			return lessIdx(next[a].idx, next[b].idx)
+		})
+		if len(next) > opt.BeamSize {
+			truncated = true
+			next = next[:opt.BeamSize]
+		}
+		queue = next
+	}
+	return truncated
+}
+
+func (m *matcher) refExpand(queue []ichain, opt Options, through bool, near nearSink, sink chainSink) []ichain {
+	ix := m.ix
+	shards := min(opt.Workers, len(queue))
+	results := make([][]ichain, shards)
+	var wg sync.WaitGroup
+	for w := 0; w < shards; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var local []ichain
+			for qi := w; qi < len(queue); qi += shards {
+				c := &queue[qi]
+				row := make([]int32, len(c.idx))
+				for k, e := range c.idx {
+					row[k] = int32(e)
+				}
+				last := c.idx[len(c.idx)-1]
+				for _, j32 := range ix.ByFrom[ix.To[last]] {
+					j := int(j32)
+					if containsEdge(row, j32) || !m.matchIdx(last, j) {
+						continue
+					}
+					nd := c.delayInj
+					if m.countsDelay(row, j) {
+						nd++
+					}
+					if opt.MaxDelayInjections >= 0 && int(nd) > opt.MaxDelayInjections {
+						continue
+					}
+					nc := ichain{
+						idx:      append(append(make([]int, 0, len(c.idx)+1), c.idx...), j),
+						score:    c.score,
+						injs:     c.injs,
+						delayInj: nd,
+					}
+					if !ix.Connector[j] {
+						nc.injs++
+						nc.score += m.scores[j]
+					}
+					if m.matchIdx(j, nc.idx[0]) {
+						sink(&nc)
+						if through {
+							local = append(local, nc)
+						}
+					} else {
+						if near != nil && ix.To[j] == ix.From[nc.idx[0]] {
+							near(nc.idx)
+						}
+						local = append(local, nc)
+					}
+				}
+			}
+			results[w] = local
+		}(w)
+	}
+	wg.Wait()
+	var next []ichain
+	for _, r := range results {
+		next = append(next, r...)
+	}
+	return next
+}
+
+// classRichEdges is cycleRichEdges over delay and exception faults with
+// the edge kinds their classes imply, so delay-injection limits bite, plus
+// a static ICFG -> CFG connector pair through the delay faults.
+func classRichEdges(rng *rand.Rand, n int) *graph.Graph {
+	fault := func() (faults.ID, faults.FaultClass) {
+		k := rng.Intn(7)
+		if k < 3 {
+			return faults.ID(fmt.Sprintf("l.%d", k)), faults.ClassDelay
+		}
+		return faults.ID(fmt.Sprintf("f.%d", k)), faults.ClassException
+	}
+	state := func(c faults.FaultClass) compat.State {
+		return compat.State{DelayFault: c == faults.ClassDelay,
+			Occ: []trace.Occurrence{{Stack: []string{fmt.Sprintf("fn%d", rng.Intn(3))}}}}
+	}
+	var dyn []fca.Edge
+	for i := 0; i < n; i++ {
+		from, fc := fault()
+		to, tc := fault()
+		kind := map[[2]bool]faults.EdgeKind{
+			{false, false}: faults.EI, {false, true}: faults.ED,
+			{true, false}: faults.SI, {true, true}: faults.SD,
+		}[[2]bool{tc == faults.ClassDelay, fc == faults.ClassDelay}]
+		dyn = append(dyn, fca.Edge{From: from, To: to, Kind: kind, Test: fmt.Sprintf("t%d", rng.Intn(3)),
+			FromClass: fc, ToClass: tc, FromState: state(fc), ToState: state(tc)})
+	}
+	g := graph.FromEdges(dyn)
+	conn := func(from, to faults.ID, kind faults.EdgeKind) fca.Edge {
+		return fca.Edge{From: from, To: to, Kind: kind,
+			FromClass: faults.ClassDelay, ToClass: faults.ClassDelay,
+			FromState: compat.State{DelayFault: true}, ToState: compat.State{DelayFault: true}}
+	}
+	g.AddStatic([]fca.Edge{conn("l.0", "l.1", faults.ICFG), conn("l.1", "l.2", faults.CFG)})
+	return g
+}
+
+// chainLog records what a run hands its sinks, as sorted multisets.
+type chainLog struct {
+	mu          sync.Mutex
+	sunk, nears []string
+}
+
+func (l *chainLog) sink(c *ichain) {
+	s := fmt.Sprintf("%v %v %d %d", c.idx, c.score, c.injs, c.delayInj)
+	l.mu.Lock()
+	l.sunk = append(l.sunk, s)
+	l.mu.Unlock()
+}
+
+func (l *chainLog) near(idx []int) {
+	s := fmt.Sprint(idx)
+	l.mu.Lock()
+	l.nears = append(l.nears, s)
+	l.mu.Unlock()
+}
+
+func (l *chainLog) sorted() ([]string, []string) {
+	sort.Strings(l.sunk)
+	sort.Strings(l.nears)
+	return l.sunk, l.nears
+}
+
+// TestRunChainsMatchesReference holds the columnar engine to the
+// reference beam over random graphs (scored and unscored, with and
+// without connectors) across beam widths, chain lengths, delay limits,
+// worker counts and both close modes: the same chains reach the sink with
+// the same scores, the same near chains are reported, and truncation is
+// flagged alike.
+func TestRunChainsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var graphs []*graph.Graph
+	for k := 0; k < 3; k++ {
+		g := graph.FromEdges(cycleRichEdges(rng, 40))
+		if k > 0 {
+			// Distinct means exercise the score order; k == 0 leaves every
+			// chain at mean 1, so the edge-id tie-break decides alone.
+			for f := 0; f < 6; f++ {
+				g.SetScore(faults.ID(fmt.Sprintf("f.%d", f)), float64(rng.Intn(4))/4)
+			}
+		}
+		graphs = append(graphs, g)
+	}
+	graphs = append(graphs, classRichEdges(rng, 50))
+	runs, truncations := 0, 0
+	for gi, g := range graphs {
+		m := newMatcher(g, g.ScoreFunc())
+		var touched []int
+		for i := 0; i < m.ix.N; i += 3 {
+			touched = append(touched, i)
+		}
+		for _, beam := range []int{1, 2, 3, 7, 0} {
+			for _, maxLen := range []int{2, 3, 5, 8} {
+				for _, delays := range []int{0, 1} {
+					for _, workers := range []int{1, 2, 3, 8} {
+						for _, through := range []bool{false, true} {
+							opt := Options{BeamSize: beam, MaxLen: maxLen, MaxDelayInjections: delays, Workers: workers}
+							opt.defaults()
+							seeds := allSeeds(m.ix.N)
+							if through {
+								seeds = touched
+							}
+							var got, want chainLog
+							gotTrunc := m.runChains(seeds, opt, through, got.near, got.sink)
+							wantTrunc := m.refRunChains(seeds, opt, through, want.near, want.sink)
+							tag := fmt.Sprintf("graph %d beam %d len %d delays %d workers %d through %v",
+								gi, beam, maxLen, delays, workers, through)
+							if gotTrunc != wantTrunc {
+								t.Fatalf("%s: truncated = %v, reference %v", tag, gotTrunc, wantTrunc)
+							}
+							gs, gn := got.sorted()
+							ws, wn := want.sorted()
+							if !reflect.DeepEqual(gs, ws) {
+								t.Fatalf("%s: %d sunk chains, reference %d", tag, len(gs), len(ws))
+							}
+							if !reflect.DeepEqual(gn, wn) {
+								t.Fatalf("%s: %d near chains, reference %d", tag, len(gn), len(wn))
+							}
+							runs++
+							if wantTrunc {
+								truncations++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if truncations == 0 || truncations == runs {
+		t.Fatalf("%d of %d runs truncated: the grid must cover both", truncations, runs)
+	}
+}
+
+// TestExpandKeepsAtMostBeamPerWorker pins the memory bound: however many
+// children a level generates, no worker stores more than BeamSize of
+// them, and the ones it stores are its best.
+func TestExpandKeepsAtMostBeamPerWorker(t *testing.T) {
+	g := graph.FromEdges(cycleRichEdges(rand.New(rand.NewSource(3)), 60))
+	m := newMatcher(g, g.ScoreFunc())
+	opt := Options{BeamSize: 4, Workers: 3}
+	opt.defaults()
+	queue := &chainRows{width: 1}
+	for i := 0; i < m.ix.N; i++ {
+		queue.push(nil, int32(i), 1, 1, 0)
+	}
+	ws := make([]chainWorker, opt.Workers)
+	shards := m.expand(ws, queue, opt, false, false, nil, func(*ichain) {})
+	for w := range ws[:shards] {
+		wk := &ws[w]
+		if wk.children <= opt.BeamSize {
+			t.Fatalf("worker %d generated %d children: the graph must overflow the beam", w, wk.children)
+		}
+		if n := wk.kept.len(); n != opt.BeamSize {
+			t.Fatalf("worker %d kept %d of %d children, want %d", w, n, wk.children, opt.BeamSize)
+		}
+		for _, r := range wk.heap[1:] {
+			if wk.kept.rowBefore(int(wk.heap[0]), int(r)) {
+				t.Fatalf("worker %d: heap top is not its worst kept row", w)
+			}
+		}
+	}
+}
+
+// TestTruncationFlagAtExactBeam: a level with exactly BeamSize
+// queue-worthy children is not truncated and one with BeamSize+1 is,
+// whether that level is stored or, as the last level, only counted.
+func TestTruncationFlagAtExactBeam(t *testing.T) {
+	ex := func(from, to faults.ID, test string, fs, ts string) fca.Edge {
+		return edge(from, to, faults.EI, faults.ClassException, faults.ClassException, test, st(fs), st(ts))
+	}
+	// a -> b fans out to three dead ends: level 1 has three children.
+	m := mkMatcher([]fca.Edge{
+		ex("a", "b", "t0", "p", "x"),
+		ex("b", "c1", "t1", "x", "q"), ex("b", "c2", "t2", "x", "q"), ex("b", "c3", "t3", "x", "q"),
+	}, nil)
+	for _, maxLen := range []int{2, 3} {
+		for beam, want := range map[int]bool{2: true, 3: false} {
+			opt := Options{BeamSize: beam, MaxLen: maxLen, Workers: 2}
+			opt.defaults()
+			nop := func(*ichain) {}
+			if got := m.runChains(allSeeds(m.ix.N), opt, false, nil, nop); got != want {
+				t.Errorf("len %d beam %d: truncated = %v, want %v", maxLen, beam, got, want)
+			}
+			if ref := m.refRunChains(allSeeds(m.ix.N), opt, false, nil, nop); ref != want {
+				t.Errorf("len %d beam %d: reference truncated = %v, want %v", maxLen, beam, ref, want)
+			}
+		}
 	}
 }

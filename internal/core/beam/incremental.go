@@ -29,8 +29,8 @@
 // delegating every round to the one-shot search, which is equal by
 // definition. Cycle-dense targets do reach it: a MetaStore light campaign
 // (seed 42) truncates in round 3 of 6 at 5 284 cycles, so rounds 3-6 and
-// the final search each pay a full one-shot search (0.86 / 1.36 / 1.61 /
-// 2.00 / 3.96 s, docs/MEASUREMENTS.md).
+// the final search each pay a full one-shot search (per-round costs in
+// docs/MEASUREMENTS.md).
 
 package beam
 

@@ -179,11 +179,10 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 	// incremental engine only re-folds its chain store -- unless its beam
 	// truncated in some round, after which that round, every later one
 	// and this search are each a full one-shot search. On MetaStore light
-	// (seed 42) that happens in round 3 of 6, at 5 284 cycles: rounds 3-6
-	// cost 0.86 / 1.36 / 1.61 / 2.00 s and this search 3.96 s
-	// (docs/MEASUREMENTS.md), which is the anytime-vs-batch gap of
-	// ROADMAP item 1(d). A batch campaign has no chain store to reuse and
-	// pays for none.
+	// (seed 42) that happens in round 3 of 6, at 5 284 cycles; the
+	// per-round costs, and the anytime-vs-batch gap they add up to, are
+	// in docs/MEASUREMENTS.md. A batch campaign has no chain store to
+	// reuse and pays for none.
 	if perRound {
 		rep.Cycles = inc.Search(rep.Graph, res.SimScoreOf)
 	} else {
