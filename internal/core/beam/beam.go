@@ -183,26 +183,21 @@ func rotationLess(parts []string, a, b int) bool {
 }
 
 // SearchGraph runs the parallel beam search over a prebuilt interned
-// causal graph: the fast path. The graph's columnar index carries dense
-// fault ids and the interned state-key id sets computed once at edge
-// insertion, so Algorithm 1's match() costs a sorted integer-set
-// intersection and a search builds zero state-key strings. Chains are
-// index vectors that never repeat an edge (a repeated edge only
-// re-traverses an already-reported sub-cycle).
+// causal graph. It is a fresh Incremental's first Search: one
+// enumeration from every edge, folded into the per-signature best
+// cycles. The graph's columnar index carries dense fault ids and the
+// interned state-key id sets computed once at edge insertion, so
+// Algorithm 1's match() costs a sorted integer-set intersection and a
+// search builds no state-key strings. Chains are index vectors that
+// never repeat an edge (a repeated edge only re-traverses an
+// already-reported sub-cycle).
 //
 // A nil simScoreOf falls back to the graph's SimScore annotations (or the
 // constant 1 when none were recorded), and an unset opt.NestGroups falls
 // back to the graph's persisted loop-nest families -- a graph reloaded
 // from disk re-searches exactly like the originating campaign.
 func SearchGraph(g *graph.Graph, simScoreOf func(faults.ID) float64, opt Options) []Cycle {
-	opt.defaults()
-	if simScoreOf == nil {
-		simScoreOf = g.ScoreFunc()
-	}
-	if opt.NestGroups == nil {
-		opt.NestGroups = g.NestGroups()
-	}
-	return searchFast(g, simScoreOf, opt)
+	return NewIncremental(opt).Search(g, simScoreOf)
 }
 
 // CycleCluster groups equivalent reported cycles: cycles whose injected

@@ -283,18 +283,18 @@ type chainSink func(c *ichain)
 // contract as chainSink.
 type nearSink func(idx []int)
 
-// runChains is the shared chain-expansion core behind the one-shot
-// search, the incremental search, and the near-cycle probe: it grows
-// chains from the given seed edges, level-synchronous with a beam of
-// opt.BeamSize, reporting closed cycles to sink (and almost-closed
-// chains to near, when non-nil). A chain that closes leaves the queue --
-// extending it would only re-traverse the reported cycle -- except in
-// close-through mode (through = true), where closed chains keep
-// expanding; the incremental search uses that mode to discover every
-// cycle through a delta-touched seed even when the rotation rooted there
-// closes early. The returned flag reports whether any level truncated
-// the beam -- in which case the enumeration was not exhaustive and
-// incremental reuse of its results is unsound.
+// runChains is the chain-expansion core behind the search's two
+// enumerations (Incremental's rebuild and update) and the near-cycle
+// probe: it grows chains from the given seed edges, level-synchronous
+// with a beam of opt.BeamSize, reporting closed cycles to sink (and
+// almost-closed chains to near, when non-nil). A chain that closes
+// leaves the queue -- extending it would only re-traverse the reported
+// cycle -- except in close-through mode (through = true), where closed
+// chains keep expanding; the incremental update uses that mode to
+// discover every cycle through a delta-touched seed even when the
+// rotation rooted there closes early. The returned flag reports whether
+// any level truncated the beam -- in which case the enumeration was not
+// exhaustive and incremental reuse of its results is unsound.
 //
 // Each level's queue is the best opt.BeamSize of the previous level's
 // children under the beam's total order (before). Every worker keeps
@@ -430,28 +430,18 @@ type bestEntry struct {
 	idx []int
 }
 
-// mergeBest merges one canonical candidate into the per-signature winners
-// with a deterministic preference (lowest score, then smallest canonical
-// edge-index rotation): distinct chains can share a signature, and
-// first-arrival dedup would let goroutine scheduling pick the surviving
-// representative -- the search must be a pure function of its input.
-// Comparing index rotations instead of rendered edge keys keeps the
-// duplicate-arrival path (every rotation of every cycle) free of string
-// building, and the Cycle itself (the edge slice) is materialized only
-// when the candidate actually wins its dedup slot. can may be a sink's
-// scratch, so a winner keeps a copy.
-func (m *matcher) mergeBest(best map[string]*bestEntry, can []int, score float64) {
-	if e := m.mergeBestSig(best, m.signatureOf(can), can, score); e != nil {
-		e.idx = append([]int(nil), can...)
-	}
-}
-
-// mergeBestSig is mergeBest with a precomputed signature (the
-// incremental fold caches signatures per stored chain, so re-ranking a
-// round builds no strings for unchanged chains) and a can that stays
-// unchanged: a winning candidate stores it as is. It returns the winner's
-// entry, or nil when the candidate lost.
-func (m *matcher) mergeBestSig(best map[string]*bestEntry, sig string, can []int, score float64) *bestEntry {
+// keepBest merges one canonical candidate and its signature into the
+// per-signature winners with a deterministic preference (lowest score,
+// then smallest canonical edge-index rotation): distinct chains can share
+// a signature, and first-arrival dedup would let goroutine scheduling
+// pick the surviving representative -- the search must be a pure
+// function of its input. Comparing index rotations instead of rendered
+// edge keys keeps the comparison free of string building, and the Cycle
+// itself (the edge slice) is materialized only when the candidate wins
+// its dedup slot. A winner stores can as is, so can must not change
+// afterwards. It returns the winner's entry, or nil when the candidate
+// lost.
+func (m *matcher) keepBest(best map[string]*bestEntry, sig string, can []int, score float64) *bestEntry {
 	if e, ok := best[sig]; !ok || score < e.cy.Score ||
 		(score == e.cy.Score && lessIdx(can, e.idx)) {
 		cy := Cycle{Edges: make([]fca.Edge, len(can)), Score: score}
@@ -490,28 +480,6 @@ func orderBest(best map[string]*bestEntry) []Cycle {
 	return cycles
 }
 
-// searchFast is the optimized parallel beam search engine behind Search
-// and SearchGraph.
-func searchFast(g *graph.Graph, simScoreOf func(faults.ID) float64, opt Options) []Cycle {
-	m := newMatcher(g, simScoreOf)
-	var (
-		mu   sync.Mutex
-		best = map[string]*bestEntry{}
-	)
-	sink := func(c *ichain) {
-		can := canonicalRotation(c.idx)
-		if m.oneNestFamilyIdx(can, opt.NestGroups) {
-			return
-		}
-		score := c.mean()
-		mu.Lock()
-		m.mergeBest(best, can, score)
-		mu.Unlock()
-	}
-	m.runChains(allSeeds(m.ix.N), opt, false, nil, sink)
-	return orderBest(best)
-}
-
 func allSeeds(n int) []int {
 	seeds := make([]int, n)
 	for i := range seeds {
@@ -521,10 +489,10 @@ func allSeeds(n int) []int {
 }
 
 // rotationArrives reports whether the one-shot expansion, seeded at
-// rotation r of the cyclic chain, reaches full length: no proper prefix
-// of length >= 2 may close early, because closed chains leave the queue.
-// (A self-closing single seed edge stays queued, so length-1 prefixes
-// never block.)
+// rotation r of the cyclic chain, can reach full length (it does unless
+// the beam prunes it on the way): no proper prefix of length >= 2 may
+// close early, because closed chains leave the queue. (A self-closing
+// single seed edge stays queued, so length-1 prefixes never block.)
 func (m *matcher) rotationArrives(can []int, r int) bool {
 	n := len(can)
 	first := can[r%n]
@@ -536,12 +504,12 @@ func (m *matcher) rotationArrives(can []int, r int) bool {
 	return true
 }
 
-// arrivingRotations lists the rotations of a cyclic chain the one-shot
-// search enumerates (rotationArrives), as offsets into can. An empty
-// result means the chain is never reported. Arrival depends only on
-// matchIdx among the chain's own edges, so the incremental searcher
-// caches the result per stored chain and recomputes it only when a
-// delta touches one of those edges.
+// arrivingRotations lists the rotations of a cyclic chain a one-shot
+// search whose beam never truncates enumerates (rotationArrives), as
+// offsets into can. An empty result means the chain is never reported.
+// Arrival depends only on matchIdx among the chain's own edges, so the
+// incremental update caches the result per stored chain and recomputes
+// it only when a delta touches one of those edges.
 func (m *matcher) arrivingRotations(can []int) []int {
 	var rots []int
 	for r := range can {
@@ -553,12 +521,12 @@ func (m *matcher) arrivingRotations(can []int) []int {
 }
 
 // chainScoreAt computes the dedup score of a stored cyclic chain: the
-// minimum over its arriving rotations of the rotation-order float
-// accumulation. The one-shot search accumulates a chain's score in
-// discovery order (the rotation it grew from) and keeps the
-// per-signature minimum across the rotations that actually arrive;
-// replaying that minimum keeps incremental folds bit-identical to a full
-// re-search even when float summation order matters in the last ulp.
+// minimum over the rotations rots of the rotation-order float
+// accumulation. An enumeration accumulates a chain's score in discovery
+// order (the rotation it grew from), and the per-signature winner keeps
+// the minimum across the rotations that actually arrive; replaying that
+// minimum keeps every fold bit-identical to merging the arrivals
+// directly, even when float summation order matters in the last ulp.
 func (m *matcher) chainScoreAt(can []int, rots []int) float64 {
 	ix := m.ix
 	injs := 0

@@ -1,7 +1,9 @@
-// This file holds the incremental beam search behind anytime campaigns:
-// instead of re-enumerating every chain after each round, it maintains
-// the set of reported cyclic chains across graph deltas and re-examines
-// only candidates reachable from delta-touched edges.
+// This file holds the package's one cycle-search engine. SearchGraph is
+// a fresh Incremental's first Search; anytime campaigns and the online
+// monitor keep a searcher across rounds, and instead of re-enumerating
+// every chain after each round it maintains the set of reported cyclic
+// chains across graph deltas and re-examines only candidates reachable
+// from delta-touched edges.
 //
 // Soundness rests on match() being edge-local: matchIdx(i, j) depends
 // only on edges i and j, so both the validity and the reportability of a
@@ -10,31 +12,36 @@
 // pass through at least one delta-touched edge, and every rotation of a
 // cycle is a valid chain, so seeding the expansion at the touched edges
 // alone reaches each of them -- in close-through mode, because the
-// one-shot engine drops chains from the queue once they close, and the
-// rotation rooted at a touched edge may close early even though another
-// rotation of the same cycle survives to full length. Discovered chains
-// are stored only if the one-shot search would report them (at least one
-// rotation arrives without an early close). Conversely, a stored chain
-// can die -- evidence merges flip match() in both directions (empty
-// evidence passes by default) -- so stored chains through touched edges
-// are revalidated each round. Scores are never stored: SimScores change
-// as the allocation protocol learns, so every round re-folds the chain
-// store with the current scores, reproducing the one-shot search's
-// dedup and ordering bit for bit.
+// one-shot enumeration drops chains from the queue once they close, and
+// the rotation rooted at a touched edge may close early even though
+// another rotation of the same cycle survives to full length. Discovered
+// chains are stored only if the one-shot search would report them (at
+// least one rotation arrives without an early close). Conversely, a
+// stored chain can die -- evidence merges flip match() in both
+// directions (empty evidence passes by default) -- so stored chains
+// through touched edges are revalidated each round. Scores are never
+// stored: SimScores change as the allocation protocol learns, so every
+// round re-folds the chain store with the current scores, reproducing
+// the one-shot search's dedup and ordering bit for bit.
 //
-// The equivalence to a full re-search is exact as long as the beam never
-// truncates (the default 100k beam is ample for simulator-scale graphs).
-// Truncation makes the enumeration non-exhaustive and chain reuse
-// unsound, so the engine detects it and permanently falls back to
-// delegating every round to the one-shot search, which is equal by
-// definition. Cycle-dense targets do reach it: a MetaStore light campaign
-// (seed 42) truncates in round 3 of 6 at 5 284 cycles, so rounds 3-6 and
-// the final search each pay a full one-shot search (per-round costs in
+// Reuse is exact as long as the beam never truncates (the default 100k
+// beam is ample for simulator-scale graphs). Truncation makes an
+// enumeration non-exhaustive and chain reuse unsound, so a searcher
+// whose enumeration truncates (or whose store grows as large as the
+// beam) turns full: that call and every later one
+// re-enumerate from every seed (rebuild), which is the one-shot search
+// itself, and the store is dropped after each fold. A rebuild stays
+// exact under truncation because its sink records, per stored chain, the
+// rotations that actually arrived, and the fold scores each chain by the
+// minimum over exactly those -- the arrivals the one-shot search merges.
+// Cycle-dense targets do turn full: a MetaStore light campaign (seed 42)
+// truncates in round 3 of 6 at 5 284 cycles (per-round costs in
 // docs/MEASUREMENTS.md).
 
 package beam
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
@@ -42,11 +49,12 @@ import (
 	"repro/internal/faults"
 )
 
-// Incremental is a stateful beam search over a growing causal graph.
+// Incremental is the stateful beam search over a growing causal graph.
 // Build one with NewIncremental and call Search after every round with
-// the current graph (successive snapshots of one campaign's graph): the
-// result is identical to SearchGraph over the same graph and options.
-// Not safe for concurrent use.
+// the current graph (successive snapshots of one campaign's graph): each
+// result is the one-shot search of that graph under the same options,
+// which SearchGraph runs as a fresh searcher's first Search. Not safe for
+// concurrent use.
 type Incremental struct {
 	opt Options
 	// groups are the loop-nest families resolved at the first Search and
@@ -56,10 +64,10 @@ type Incremental struct {
 	// canonical stable-id encoding. Dynamic edges are identified by their
 	// (stable) position in the dynamic section; static edges by negative
 	// ids, since their logical indices shift as the dynamic section grows.
+	// A full searcher keeps no store between calls.
 	store map[string]*chainEntry
 	// lastSeq/lastStatics are the graph watermarks of the last Search;
-	// full delegates to the one-shot search forever after a beam
-	// truncation.
+	// full makes every later Search a rebuild.
 	lastSeq     int
 	lastStatics int
 	primed      bool
@@ -68,17 +76,18 @@ type Incremental struct {
 
 // chainEntry is one stored cyclic chain plus the derived state that is
 // invariant until a delta touches one of its edges: the signature (a
-// function of the edges' identities, immutable) and the arriving
-// rotations (a function of matchIdx among the chain's edges). The
-// logical form of the chain is cached against the dynamic-section size
-// it was computed for. Only scores must be re-derived every round.
+// function of the edges' identities, immutable) and the rotations the
+// one-shot search enumerates, as offsets into the canonical rotation (in
+// a rebuild, the ones that arrived; in an update, arrivingRotations, a
+// function of matchIdx among the chain's edges). The logical form of the
+// chain is cached against the dynamic-section size it was computed for.
+// Only scores must be re-derived every round.
 type chainEntry struct {
-	sids []int
 	sig  string
 	rots []int
-	// can/canDyn cache the canonical logical rotation; stale when the
-	// dynamic section grew past canDyn (only chains through static edges
-	// actually shift).
+	// can is the canonical logical rotation under a dynamic section of
+	// canDyn edges: growing the section shifts the chain's static edges
+	// only, so their stable ids (stableOf) are what carries over.
 	can    []int
 	canDyn int
 }
@@ -89,33 +98,32 @@ type chainEntry struct {
 // preserves all pairwise index comparisons (dynamic ids are always
 // smaller than static ones).
 func (e *chainEntry) logical(nDyn int) []int {
-	if e.can == nil || e.canDyn != nDyn {
-		e.can = make([]int, len(e.sids))
-		for i, sid := range e.sids {
-			e.can[i] = logicalOf(sid, nDyn)
+	if e.canDyn != nDyn {
+		can := make([]int, len(e.can))
+		for i, k := range e.can {
+			can[i] = logicalOf(stableOf(k, e.canDyn), nDyn)
 		}
-		e.canDyn = nDyn
+		e.can, e.canDyn = can, nDyn
 	}
 	return e.can
 }
 
-// NewIncremental builds an incremental search with fixed options.
-// opt.NestGroups (or, when nil, the first searched graph's persisted
-// families) is pinned for the life of the searcher.
+// NewIncremental builds a searcher with fixed options. opt.NestGroups
+// (or, when nil, the first searched graph's persisted families) is
+// pinned for the life of the searcher.
 //
-// A caller-narrowed beam (non-zero opt.BeamSize) disables incremental
-// reuse entirely: every Search delegates to the one-shot engine. A
-// bounded beam prunes globally, and a delta-seeded enumeration staying
-// under the beam proves nothing about whether the full enumeration
-// would -- delegation is the only way to keep the result exactly equal
-// to SearchGraph. The default beam is a safety valve sized far beyond
-// simulator-scale frontiers; the engine still abandons incremental
-// reuse at the first sign of beam pressure (a truncating enumeration,
-// or a chain store as large as the beam itself).
+// A caller-narrowed beam (non-zero opt.BeamSize) makes the searcher full
+// from the start: every Search rebuilds. A bounded beam prunes globally,
+// and a delta-seeded enumeration staying under the beam proves nothing
+// about whether the full enumeration would -- re-enumerating is the only
+// way to keep the result exactly the one-shot search's. The default beam
+// is a safety valve sized far beyond simulator-scale frontiers; the
+// searcher still turns full at the first sign of beam pressure (a
+// truncating enumeration, or a chain store as large as the beam itself).
 func NewIncremental(opt Options) *Incremental {
 	custom := opt.BeamSize != 0
 	opt.defaults()
-	return &Incremental{opt: opt, store: make(map[string]*chainEntry), full: custom}
+	return &Incremental{opt: opt, full: custom}
 }
 
 // stableOf converts a logical edge index to its stable id.
@@ -135,18 +143,21 @@ func logicalOf(sid, nDyn int) int {
 	return nDyn + (-sid - 1)
 }
 
-func encodeChain(sids []int) string {
-	b := make([]byte, 0, 4*len(sids))
-	for _, s := range sids {
-		b = strconv.AppendInt(b, int64(s), 10)
+// appendKey appends the store key of a canonical chain: its stable ids,
+// each '|'-terminated.
+func appendKey(b []byte, can []int, nDyn int) []byte {
+	for _, k := range can {
+		b = strconv.AppendInt(b, int64(stableOf(k, nDyn)), 10)
 		b = append(b, '|')
 	}
-	return string(b)
+	return b
 }
 
 // Search folds the graph's growth since the previous call into the chain
-// store and returns the full cycle list, equal to
-// SearchGraph(g, simScoreOf, opt) for the same graph and pinned options.
+// store and returns the full cycle list: the one-shot search of the graph
+// under the pinned options, one cycle per signature, ordered by (score,
+// signature). The first call, a call after the static section changed
+// and every call of a full searcher enumerate from every seed.
 func (inc *Incremental) Search(g *graph.Graph, simScoreOf func(faults.ID) float64) []Cycle {
 	return inc.search(g, nil, simScoreOf)
 }
@@ -172,38 +183,28 @@ func (inc *Incremental) search(g *graph.Graph, delta *graph.Delta, simScoreOf fu
 	}
 	opt.NestGroups = inc.groups
 
-	if inc.full {
-		return searchFast(g, simScoreOf, opt)
-	}
-
 	m := newMatcher(g, simScoreOf)
 	nDyn := g.DynLen()
-	if g.Len()-nDyn != inc.lastStatics {
-		// The static section changed (graph stitching mid-campaign): stored
-		// stable ids are void. Start over.
-		inc.primed = false
-	}
-	if !inc.primed {
-		inc.rebuild(m, opt, nDyn)
-	} else {
+	// A changed static section (graph stitching mid-campaign) voids the
+	// stored stable ids: start over, as a fresh or full searcher does.
+	rebuild := inc.full || !inc.primed || g.Len()-nDyn != inc.lastStatics
+	if !rebuild {
 		var edges []int
 		if delta != nil && delta.FromSeq == inc.lastSeq && delta.ToSeq == g.RawLen() {
 			edges = delta.Edges
 		} else {
 			edges = g.DeltaSince(inc.lastSeq).Edges
 		}
-		inc.update(m, opt, nDyn, edges)
+		// A truncating delta enumeration missed chains, and a store as
+		// large as the beam says a full enumeration may truncate where
+		// the delta's did not: either way only re-enumerating is exact.
+		rebuild = inc.update(m, opt, nDyn, edges) || len(inc.store) >= opt.BeamSize
 	}
-	if len(inc.store) >= opt.BeamSize {
-		// More reported cycles than beam slots: a future full enumeration
-		// is plausibly under beam pressure even if the restricted ones were
-		// not. Stop trusting restricted discovery before that can happen.
+	if rebuild && (inc.rebuild(m, opt, nDyn) || len(inc.store) >= opt.BeamSize) {
+		// The beam truncated, or the store outgrew it: a future
+		// delta-seeded enumeration could stay under the beam where a full
+		// one would not. Stop trusting restricted discovery for good.
 		inc.full = true
-	}
-	if inc.full {
-		// This round's enumeration truncated the beam: chain reuse is
-		// unsound, now and for every later round.
-		return searchFast(g, simScoreOf, opt)
 	}
 	inc.primed = true
 	inc.lastSeq = g.RawLen()
@@ -211,76 +212,85 @@ func (inc *Incremental) search(g *graph.Graph, delta *graph.Delta, simScoreOf fu
 
 	// Fold the store with the current scores: dedup by signature with the
 	// one-shot search's deterministic preference, then order by (score,
-	// signature). Signatures and arriving rotations are cached per chain
+	// signature). Signatures and rotations are cached per chain
 	// (invariant until a delta touches it), so a round's re-rank builds
 	// no strings and runs no match checks for unchanged chains.
+	// A full searcher rebuilds next call, so its store goes entry by
+	// entry as the fold consumes it.
 	best := make(map[string]*bestEntry, len(inc.store))
-	for _, e := range inc.store {
+	for key, e := range inc.store {
 		can := e.logical(nDyn)
-		m.mergeBestSig(best, e.sig, can, m.chainScoreAt(can, e.rots))
+		m.keepBest(best, e.sig, can, m.chainScoreAt(can, e.rots))
+		if inc.full {
+			delete(inc.store, key)
+		}
+	}
+	if inc.full {
+		inc.store = nil
 	}
 	return orderBest(best)
 }
 
 // storeSink returns a chain sink that records closed cycles as canonical
-// stable-id chains, dropping single-nest-family structural artifacts and
-// (in close-through discovery, vetArrival) chains the one-shot search
-// would never report. The signature and arriving rotations are derived
-// once here, not per round.
-func (inc *Incremental) storeSink(m *matcher, opt Options, nDyn int, vetArrival bool, mu *sync.Mutex) chainSink {
+// stable-id chains, dropping single-nest-family structural artifacts; a
+// chain's signature is derived once, when it is first stored. In a
+// rebuild (through unset) every arrival is one the one-shot search
+// merges, so the sink appends the rotation the chain arrived at -- the
+// position of its seed edge in the canonical rotation -- to the stored
+// chain's rots, for new and duplicate keys alike: under truncation the
+// pruned beam need not produce every rotation that could arrive. In a
+// close-through update arrivals say nothing about the one-shot search: a
+// new chain gets its arrivingRotations, and one with none is dropped.
+func (inc *Incremental) storeSink(m *matcher, opt Options, nDyn int, through bool) chainSink {
+	var mu sync.Mutex
 	return func(c *ichain) {
 		can := canonicalRotation(c.idx)
 		if m.oneNestFamilyIdx(can, opt.NestGroups) {
 			return
 		}
-		sids := make([]int, len(can))
-		for i, k := range can {
-			sids[i] = stableOf(k, nDyn)
-		}
-		key := encodeChain(sids)
+		var buf [64]byte
+		key := appendKey(buf[:0], can, nDyn)
+		rot := slices.Index(can, c.idx[0])
 		mu.Lock()
-		_, dup := inc.store[key]
+		e, dup := inc.store[string(key)]
+		if dup && !through {
+			e.rots = append(e.rots, rot)
+		}
 		mu.Unlock()
 		if dup {
 			return
 		}
-		rots := m.arrivingRotations(can)
-		if vetArrival && len(rots) == 0 {
-			return
+		rots := []int{rot}
+		if through {
+			if rots = m.arrivingRotations(can); len(rots) == 0 {
+				return
+			}
 		}
-		e := &chainEntry{
-			sids:   sids,
-			sig:    m.signatureOf(can),
-			rots:   rots,
-			can:    append([]int(nil), can...),
-			canDyn: nDyn,
-		}
+		e = &chainEntry{sig: m.signatureOf(can), rots: rots, can: append([]int(nil), can...), canDyn: nDyn}
 		mu.Lock()
-		if _, ok := inc.store[key]; !ok {
-			inc.store[key] = e
+		if old, ok := inc.store[string(key)]; !ok {
+			inc.store[string(key)] = e
+		} else if !through {
+			old.rots = append(old.rots, rot)
 		}
 		mu.Unlock()
 	}
 }
 
-// rebuild re-enumerates the store from scratch (first round or
-// static-section change) with the one-shot semantics: every arrival is a
-// reported cycle by definition.
-func (inc *Incremental) rebuild(m *matcher, opt Options, nDyn int) {
+// rebuild re-enumerates the store from every seed with the one-shot
+// semantics and reports whether the beam truncated.
+func (inc *Incremental) rebuild(m *matcher, opt Options, nDyn int) bool {
 	inc.store = make(map[string]*chainEntry)
-	var mu sync.Mutex
-	if m.runChains(allSeeds(m.ix.N), opt, false, nil, inc.storeSink(m, opt, nDyn, false, &mu)) {
-		inc.full = true
-	}
+	return m.runChains(allSeeds(m.ix.N), opt, false, nil, inc.storeSink(m, opt, nDyn, false))
 }
 
 // update folds one delta: revalidate stored chains through touched edges
 // (validity, reportability, and the arrival set can all flip), then
 // discover new cycles by seeding a close-through expansion at exactly
-// those edges.
-func (inc *Incremental) update(m *matcher, opt Options, nDyn int, touched []int) {
+// those edges. It reports whether that expansion truncated the beam.
+func (inc *Incremental) update(m *matcher, opt Options, nDyn int, touched []int) bool {
 	if len(touched) == 0 {
-		return
+		return false
 	}
 	aff := make(map[int]bool, len(touched))
 	for _, i := range touched {
@@ -288,8 +298,8 @@ func (inc *Incremental) update(m *matcher, opt Options, nDyn int, touched []int)
 	}
 	for key, e := range inc.store {
 		hit := false
-		for _, sid := range e.sids {
-			if aff[sid] {
+		for _, k := range e.can {
+			if aff[stableOf(k, e.canDyn)] {
 				hit = true
 				break
 			}
@@ -306,10 +316,7 @@ func (inc *Incremental) update(m *matcher, opt Options, nDyn int, touched []int)
 			delete(inc.store, key)
 		}
 	}
-	var mu sync.Mutex
-	if m.runChains(touched, opt, true, nil, inc.storeSink(m, opt, nDyn, true, &mu)) {
-		inc.full = true
-	}
+	return m.runChains(touched, opt, true, nil, inc.storeSink(m, opt, nDyn, true))
 }
 
 // Reset discards all incremental state: the chain store, the graph
@@ -318,12 +325,12 @@ func (inc *Incremental) update(m *matcher, opt Options, nDyn int, touched []int)
 // nest families from its options or the searched graph. Callers use it
 // when the graph they feed is rebuilt rather than grown -- the online
 // monitor's evidence window evicting a bucket replaces the whole graph,
-// so watermarks taken against the old graph are meaningless. A beam
-// truncation (full) is NOT cleared: the fallback was triggered by scale,
-// and a rebuilt graph of similar scale would only re-trigger it after
-// one unsound round.
+// so watermarks taken against the old graph are meaningless. A full
+// searcher stays full: beam pressure comes from scale, and a rebuilt
+// graph of similar scale would only bring it back after one unsound
+// round.
 func (inc *Incremental) Reset() {
-	inc.store = make(map[string]*chainEntry)
+	inc.store = nil
 	inc.groups = nil
 	inc.lastSeq = 0
 	inc.lastStatics = 0

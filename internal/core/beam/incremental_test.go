@@ -2,6 +2,7 @@ package beam
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -35,26 +36,80 @@ func cycleRichEdges(rng *rand.Rand, n int) []fca.Edge {
 	return out
 }
 
+// assertSameCycles holds a search result to the reference's: the same
+// cycles in the same order, edge for edge, with bit-identical scores, and
+// no signature reported twice.
 func assertSameCycles(t *testing.T, tag string, got, want []Cycle) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: cycle counts diverge: incremental %d, full %d", tag, len(got), len(want))
+		t.Fatalf("%s: cycle counts diverge: got %d, reference %d", tag, len(got), len(want))
 	}
+	seen := make(map[string]bool, len(got))
 	for i := range got {
-		if got[i].Score != want[i].Score || got[i].Signature() != want[i].Signature() {
-			t.Fatalf("%s: cycle %d diverges:\nincremental: score=%v %s\nfull:        score=%v %s",
-				tag, i, got[i].Score, got[i].Signature(), want[i].Score, want[i].Signature())
+		sig := got[i].Signature()
+		if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) || sig != want[i].Signature() {
+			t.Fatalf("%s: cycle %d diverges:\ngot:       score=%v %s\nreference: score=%v %s",
+				tag, i, got[i].Score, sig, want[i].Score, want[i].Signature())
 		}
 		if !reflect.DeepEqual(got[i].Edges, want[i].Edges) {
 			t.Fatalf("%s: cycle %d edge lists diverge", tag, i)
 		}
+		if seen[sig] {
+			t.Fatalf("%s: signature %s reported twice", tag, sig)
+		}
+		seen[sig] = true
+	}
+}
+
+// TestSearchGraphMatchesReference holds SearchGraph -- a fresh
+// searcher's rebuild and fold -- to the reference one-shot search over
+// random graphs with fractional scores (so float summation order shows in
+// the last ulp), across beams that do and do not truncate and worker
+// counts: the rotations a rebuild records are the arrivals the reference
+// merges, so the two agree even when the pruned beam drops rotations a
+// chain could arrive at.
+func TestSearchGraphMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var graphs []*graph.Graph
+	for k := 0; k < 4; k++ {
+		g := graph.FromEdges(cycleRichEdges(rng, 30+10*k))
+		if k > 0 {
+			for f := 0; f < 6; f++ {
+				g.SetScore(faults.ID(fmt.Sprintf("f.%d", f)), rng.Float64())
+			}
+		}
+		graphs = append(graphs, g)
+	}
+	graphs = append(graphs, classRichEdges(rng, 40))
+	runs, truncations := 0, 0
+	for gi, g := range graphs {
+		for _, beam := range []int{0, 2, 3, 5} {
+			for _, workers := range []int{1, 4} {
+				opt := Options{BeamSize: beam, MaxLen: 5, Workers: workers}
+				tag := fmt.Sprintf("graph %d beam %d workers %d", gi, beam, workers)
+				want := refSearchGraph(g, nil, opt)
+				if len(want) == 0 {
+					t.Fatalf("%s: the reference found no cycle", tag)
+				}
+				assertSameCycles(t, tag, SearchGraph(g, nil, opt), want)
+				opt.defaults()
+				m := newMatcher(g, g.ScoreFunc())
+				if m.runChains(allSeeds(m.ix.N), opt, false, nil, func(*ichain) {}) {
+					truncations++
+				}
+				runs++
+			}
+		}
+	}
+	if truncations == 0 || truncations == runs {
+		t.Fatalf("%d of %d searches truncated: the grid must cover both", truncations, runs)
 	}
 }
 
 // TestIncrementalMatchesFullSearchOverRandomGrowth is the engine-level
 // equivalence fuzz: a graph grown chunk by chunk from a random
 // duplicate-heavy edge stream, searched incrementally after every chunk,
-// must match a from-scratch SearchGraph on each round -- including
+// must match the reference one-shot search on each round -- including
 // rounds where evidence merges invalidate previously reported cycles
 // and rounds where SimScores change between searches.
 func TestIncrementalMatchesFullSearchOverRandomGrowth(t *testing.T) {
@@ -78,7 +133,7 @@ func TestIncrementalMatchesFullSearchOverRandomGrowth(t *testing.T) {
 				g.SetScore("f.1", 0.5)
 			}
 			got := inc.Search(g, nil)
-			want := SearchGraph(g, nil, opt)
+			want := refSearchGraph(g, nil, opt)
 			assertSameCycles(t, fmt.Sprintf("seed %d round %d", seed, round), got, want)
 		}
 	}
@@ -86,8 +141,8 @@ func TestIncrementalMatchesFullSearchOverRandomGrowth(t *testing.T) {
 
 // TestIncrementalMatchesFullSearchUnderTruncation: with a beam small
 // enough to truncate, the incremental engine must detect the pruned
-// enumeration and fall back to full re-searches -- still matching
-// SearchGraph exactly.
+// enumeration and re-enumerate from every seed -- still matching the
+// reference exactly.
 func TestIncrementalMatchesFullSearchUnderTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	stream := cycleRichEdges(rng, 120)
@@ -102,27 +157,76 @@ func TestIncrementalMatchesFullSearchUnderTruncation(t *testing.T) {
 		g.AddAll(stream[:n])
 		stream = stream[n:]
 		got := inc.Search(g, nil)
-		want := SearchGraph(g, nil, opt)
+		want := refSearchGraph(g, nil, opt)
 		assertSameCycles(t, fmt.Sprintf("round %d", round), got, want)
+	}
+}
+
+// TestIncrementalUpdateTruncatesAndRebuilds drives a searcher that is
+// not full from the start (built in-package: NewIncremental makes every
+// narrowed beam full) through the path where a primed round's
+// delta-seeded enumeration truncates: that round must rebuild in the
+// same call and still equal the reference, and from then on the searcher
+// rebuilds every round and keeps no store between calls.
+func TestIncrementalUpdateTruncatesAndRebuilds(t *testing.T) {
+	ex := func(from, to faults.ID, test string) fca.Edge {
+		return edge(from, to, faults.EI, faults.ClassException, faults.ClassException, test, st("x"), st("x"))
+	}
+	opt := Options{BeamSize: 3, MaxLen: 4, Workers: 2}
+	opt.defaults()
+	inc := &Incremental{opt: opt}
+	g := graph.New()
+	rounds := []struct {
+		edges []fca.Edge
+		// update: the round is primed and not full, so it takes update;
+		// truncates: that update's enumeration overflows the beam.
+		update, truncates bool
+	}{
+		{edges: []fca.Edge{ex("a", "b", "t0"), ex("b", "a", "t1")}},
+		// Dead ends off b: seeded at themselves, they grow nothing.
+		{edges: []fca.Edge{ex("b", "c1", "t2"), ex("b", "c2", "t3"), ex("b", "c3", "t4"), ex("b", "c4", "t5")}, update: true},
+		// d -> b fans out into b's five successors: more than the beam.
+		{edges: []fca.Edge{ex("d", "b", "t6")}, update: true, truncates: true},
+		{edges: []fca.Edge{ex("a", "d", "t7")}},
+		{edges: []fca.Edge{ex("c1", "a", "t8"), ex("c2", "d", "t9")}},
+	}
+	for i, r := range rounds {
+		tag := fmt.Sprintf("round %d", i)
+		g.AddAll(r.edges)
+		if got := inc.primed && !inc.full; got != r.update {
+			t.Fatalf("%s: takes update = %v, want %v", tag, got, r.update)
+		}
+		if r.update {
+			m := newMatcher(g, g.ScoreFunc())
+			touched := g.DeltaSince(inc.lastSeq).Edges
+			if got := m.runChains(touched, opt, true, nil, func(*ichain) {}); got != r.truncates {
+				t.Fatalf("%s: delta enumeration truncated = %v, want %v", tag, got, r.truncates)
+			}
+		}
+		assertSameCycles(t, tag, inc.Search(g, nil), refSearchGraph(g, nil, opt))
+		if full := i >= 2; inc.full != full || (inc.store == nil) != full {
+			t.Fatalf("%s: full = %v with %d stored chains, want full = %v and a store only while not full",
+				tag, inc.full, len(inc.store), full)
+		}
 	}
 }
 
 // TestIncrementalSurvivesStaticSectionGrowth: static connector edges
 // shift logical indices; the searcher must recover (it re-enumerates)
-// and still match the full search.
+// and still match the reference.
 func TestIncrementalSurvivesStaticSectionGrowth(t *testing.T) {
 	opt := Options{MaxLen: 4}
 	inc := NewIncremental(opt)
 	g := graph.New()
 	g.AddAll(cycleRichEdges(rand.New(rand.NewSource(2)), 40))
-	assertSameCycles(t, "before", inc.Search(g, nil), SearchGraph(g, nil, opt))
+	assertSameCycles(t, "before", inc.Search(g, nil), refSearchGraph(g, nil, opt))
 
 	g.AddStatic([]fca.Edge{{
 		From: "f.0", To: "f.1", Kind: faults.ICFG,
 		FromClass: faults.ClassDelay, ToClass: faults.ClassDelay,
 	}})
 	g.AddAll(cycleRichEdges(rand.New(rand.NewSource(3)), 40))
-	assertSameCycles(t, "after", inc.Search(g, nil), SearchGraph(g, nil, opt))
+	assertSameCycles(t, "after", inc.Search(g, nil), refSearchGraph(g, nil, opt))
 }
 
 func TestNearCycleFaultsOneEdgeShort(t *testing.T) {

@@ -176,18 +176,14 @@ func (c *Campaign) runRounds(cfg Config, space *faults.Space, driver *harness.Dr
 	// round's search can predate phase-two scoring (the schedule may
 	// finish clustering and scoring only while planning later, empty
 	// waves). The graph is unchanged since the last round, so the
-	// incremental engine only re-folds its chain store -- unless its beam
-	// truncated in some round, after which that round, every later one
-	// and this search are each a full one-shot search. On MetaStore light
-	// (seed 42) that happens in round 3 of 6, at 5 284 cycles; the
-	// per-round costs, and the anytime-vs-batch gap they add up to, are
-	// in docs/MEASUREMENTS.md. A batch campaign has no chain store to
-	// reuse and pays for none.
-	if perRound {
-		rep.Cycles = inc.Search(rep.Graph, res.SimScoreOf)
-	} else {
-		rep.Cycles = beam.SearchGraph(rep.Graph, res.SimScoreOf, cfg.Beam)
-	}
+	// searcher only re-folds its chain store -- unless its beam truncated
+	// in some round, after which that round, every later one and this
+	// search each re-enumerate the graph. On MetaStore light (seed 42)
+	// that happens in round 3 of 6, at 5 284 cycles; the per-round costs,
+	// and the anytime-vs-batch gap they add up to, are in
+	// docs/MEASUREMENTS.md. A batch campaign's searcher has never
+	// searched, so this is its one enumeration: the one-shot search.
+	rep.Cycles = inc.Search(rep.Graph, res.SimScoreOf)
 	rep.CycleClusters = beam.ClusterCycles(rep.Cycles, clusterLookup(res))
 	// A cancellation racing the final search must still surface: the
 	// contract is that a cancelled campaign always returns the context

@@ -207,9 +207,6 @@ func (m *Monitor) searchLocked(rebuilt bool) []Alert {
 	var alerts []Alert
 	for _, c := range cycles {
 		sig := c.Signature()
-		if _, dup := cur[sig]; dup {
-			continue
-		}
 		cur[sig] = c
 		if _, ok := m.known[sig]; !ok {
 			alerts = append(alerts, m.alertLocked("closed", sig, c))
