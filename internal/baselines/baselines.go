@@ -56,15 +56,19 @@ type NaiveFinding struct {
 func runSet(sys sysreg.System, w sysreg.Workload, plan inject.Plan, reps int, base int64) *trace.Set {
 	set := &trace.Set{}
 	for i := 0; i < reps; i++ {
-		rec := trace.NewRun(w.Name, base+int64(i))
-		rt := inject.New(plan, rec)
-		eng := sim.NewEngine(sim.Options{Seed: base + int64(i)})
-		w.Run(&sysreg.RunContext{Engine: eng, RT: rt})
-		rec.Result = eng.Run(w.Horizon)
-		eng.Close()
-		set.Add(rec)
+		set.Add(runOne(w, plan, base+int64(i)))
 	}
 	return set
+}
+
+// runOne executes one seeded run of workload w under plan.
+func runOne(w sysreg.Workload, plan inject.Plan, seed int64) *trace.Run {
+	rec := trace.NewRun(w.Name, seed)
+	eng := sim.NewEngine(sim.Options{Seed: seed})
+	defer eng.Close()
+	w.Run(&sysreg.RunContext{Engine: eng, RT: inject.New(plan, rec)})
+	rec.Result = eng.Run(w.Horizon)
+	return rec
 }
 
 // Naive runs the §8.2 alternative strategy over every (fault, workload)
@@ -180,33 +184,7 @@ func Fuzz(sys sysreg.System, cfg FuzzConfig) FuzzResult {
 	for _, w := range sys.Workloads() {
 		anomalous := make([]bool, cfg.RunsPerWorkload)
 		harness.FanOut(cfg.Parallelism, cfg.RunsPerWorkload, func(r int) {
-			seed := cfg.BaseSeed + int64(r*977)
-			rec := trace.NewRun(w.Name, seed)
-			rt := inject.New(inject.Profile(), rec)
-			eng := sim.NewEngine(sim.Options{Seed: seed})
-			w.Run(&sysreg.RunContext{Engine: eng, RT: rt})
-
-			// Nemesis schedule: partition at 1/4 horizon, heal at 1/2,
-			// pause a node briefly, crash one node on the last rep.
-			h := w.Horizon
-			rng := eng.Rand()
-			nodeA, nodeB := pickNodes(rng)
-			eng.After(h/4, func() { eng.SetPartition(nodeA, nodeB, true) })
-			eng.After(h/2, func() { eng.SetPartition(nodeA, nodeB, false) })
-			eng.After(h/3, func() { eng.PauseNode(nodeB) })
-			eng.After(h/3+2*time.Second, func() { eng.ResumeNode(nodeB) })
-			if r == cfg.RunsPerWorkload-1 {
-				eng.After(2*h/3, func() { eng.CrashNode(nodeA) })
-			}
-
-			// Generic oracle: snapshot fault activity before the heal
-			// point and compare with post-heal activity.
-			var healCount int
-			eng.After(h*3/4, func() {
-				healCount = totalActivations(rec)
-			})
-			eng.Run(h)
-			eng.Close()
+			rec, healCount := fuzzRun(w, cfg.BaseSeed+int64(r*977), r == cfg.RunsPerWorkload-1)
 			anomalous[r] = totalActivations(rec) > healCount+2
 		})
 		res.Runs += cfg.RunsPerWorkload
@@ -217,6 +195,34 @@ func Fuzz(sys sysreg.System, cfg FuzzConfig) FuzzResult {
 		}
 	}
 	return res
+}
+
+// fuzzRun executes one nemesis run of workload w and returns its trace and
+// the fault activity counted at the heal point.
+func fuzzRun(w sysreg.Workload, seed int64, crash bool) (*trace.Run, int) {
+	rec := trace.NewRun(w.Name, seed)
+	eng := sim.NewEngine(sim.Options{Seed: seed})
+	defer eng.Close()
+	w.Run(&sysreg.RunContext{Engine: eng, RT: inject.New(inject.Profile(), rec)})
+
+	// Nemesis schedule: partition at 1/4 horizon, heal at 1/2, pause a
+	// node briefly, crash one node on the last rep.
+	h := w.Horizon
+	nodeA, nodeB := pickNodes(eng.Rand())
+	eng.After(h/4, func() { eng.SetPartition(nodeA, nodeB, true) })
+	eng.After(h/2, func() { eng.SetPartition(nodeA, nodeB, false) })
+	eng.After(h/3, func() { eng.PauseNode(nodeB) })
+	eng.After(h/3+2*time.Second, func() { eng.ResumeNode(nodeB) })
+	if crash {
+		eng.After(2*h/3, func() { eng.CrashNode(nodeA) })
+	}
+
+	// Generic oracle: snapshot fault activity before the heal point; the
+	// caller compares it with post-heal activity.
+	var healCount int
+	eng.After(h*3/4, func() { healCount = totalActivations(rec) })
+	eng.Run(h)
+	return rec, healCount
 }
 
 func totalActivations(r *trace.Run) int { return r.TotalReached() }

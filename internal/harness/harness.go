@@ -325,11 +325,13 @@ func (d *Driver) runOnce(w sysreg.Workload, plan inject.Plan, seed int64, record
 	}
 	rt := inject.New(plan, rec)
 	eng := sim.NewEngine(sim.Options{Seed: seed})
+	// Deferred so a panicking process does not strand the engine's other
+	// parked processes when the panic is recovered further up.
+	defer eng.Close()
 	ctx := &sysreg.RunContext{Engine: eng, RT: rt}
 	start := time.Now()
 	w.Run(ctx)
 	res := eng.Run(w.Horizon)
-	eng.Close()
 	d.sims.Add(1)
 	res.Events = eng.Events()
 	if rec != nil {

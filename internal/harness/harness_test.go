@@ -3,12 +3,14 @@ package harness
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/core/alloc"
 	"repro/internal/core/fca"
 	"repro/internal/faults"
+	"repro/internal/sim"
 	"repro/internal/systems/dfs"
 	"repro/internal/systems/sysreg"
 )
@@ -285,6 +287,54 @@ func TestSaltOfNonNegative(t *testing.T) {
 		s := saltOf(in[0], in[1])
 		if s < 0 || s >= 1_000_000_007 {
 			t.Errorf("saltOf(%q, %q) = %d, out of range", in[0], in[1], s)
+		}
+	}
+}
+
+// panicSystem is HDFS 2 with one workload whose simulation panics while
+// other processes of the same engine are parked.
+type panicSystem struct{ sysreg.System }
+
+func (panicSystem) Workloads() []sysreg.Workload {
+	return []sysreg.Workload{{
+		Name:    "boom",
+		Horizon: time.Minute,
+		Run: func(ctx *sysreg.RunContext) {
+			mb := ctx.Engine.NewMailbox("n1", "never")
+			for i := 0; i < 4; i++ {
+				ctx.Engine.Spawn("n1", "waiter", func(p *sim.Proc) { p.Recv(mb, -1) })
+			}
+			ctx.Engine.Spawn("n2", "boom", func(p *sim.Proc) {
+				p.Sleep(time.Second)
+				panic("boom")
+			})
+		},
+	}}
+}
+
+// TestPanickingRunReleasesProcs: a run whose process panics still closes
+// its engine, so recovering the panic (as csnaked does per job) leaves no
+// parked processes behind.
+func TestPanickingRunReleasesProcs(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		sys := panicSystem{dfs.NewV2()}
+		d := New(sys, sysreg.Space(sys), Config{Reps: 3, Parallelism: par})
+		base := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("want the process panic on the caller")
+				}
+			}()
+			d.Profile("boom")
+		}()
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100 && n > base; i++ {
+			time.Sleep(10 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > base {
+			t.Fatalf("parallelism %d: %d goroutines after the recovered panic, baseline %d", par, n, base)
 		}
 	}
 }

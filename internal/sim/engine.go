@@ -4,10 +4,11 @@
 // and network fault is simulated against a virtual clock, so fault
 // injection experiments are fast, reproducible, and seed-controlled.
 //
-// The engine uses a cooperative single-runner discipline: at any instant
-// exactly one simulated process executes; all others are parked. Processes
-// advance the virtual clock only through blocking operations (Sleep, Work,
-// Recv, Call), which makes runs with equal seeds bit-for-bit identical.
+// The engine uses a cooperative single-runner discipline: every process
+// is an iter.Pull coroutine, and at any instant exactly one of them runs
+// while the others are parked. Processes advance the virtual clock only
+// through blocking operations (Sleep, Work, Recv, Call), which makes runs
+// with equal seeds bit-for-bit identical.
 //
 // The building blocks: Engine (the event loop, clock, RNG, and network
 // fault surface: partitions, pauses, crashes), Proc (a simulated process
@@ -21,6 +22,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -200,7 +202,6 @@ type Engine struct {
 
 	procs    []*Proc
 	nextPID  int
-	parked   chan struct{} // signalled by a process when it yields or exits
 	running  bool
 	closed   bool
 	executed int
@@ -227,8 +228,8 @@ type Engine struct {
 	nextMailboxID int
 }
 
-// procPanic carries a user panic from a process goroutine back to the
-// engine goroutine.
+// procPanic carries a user panic out of a process's coroutine to the
+// engine, which re-raises it from Run or Close.
 type procPanic struct {
 	proc *Proc
 	val  interface{}
@@ -252,7 +253,6 @@ func NewEngine(opts Options) *Engine {
 	}
 	e := &Engine{
 		rng:       rand.New(NewSource(opts.Seed)),
-		parked:    make(chan struct{}),
 		maxEvents: opts.MaxEvents,
 	}
 	if opts.Latency != nil {
@@ -311,14 +311,7 @@ func (e *Engine) After(d time.Duration, fn func()) {
 // to start immediately. The name is used in diagnostics and call stacks.
 func (e *Engine) Spawn(node, name string, fn func(p *Proc)) *Proc {
 	e.nextPID++
-	p := &Proc{
-		eng:    e,
-		pid:    e.nextPID,
-		node:   node,
-		name:   name,
-		fn:     fn,
-		resume: make(chan wakeSignal),
-	}
+	p := &Proc{eng: e, pid: e.nextPID, node: node, name: name, fn: fn}
 	e.procs = append(e.procs, p)
 	e.schedule(e.now, evWake, p, 0, nil)
 	return p
@@ -382,21 +375,26 @@ func (e *Engine) Run(horizon time.Duration) RunResult {
 			if ev.gen != p.wakeGen {
 				continue // stale wake (e.g. timeout racing a delivery)
 			}
-			e.step(p, wakeSignal{})
+			e.step(p)
 		}
 	}
 	e.executed += processed
 	return RunResult{Reason: StopQuiesced, Now: e.now, Events: processed}
 }
 
-// step hands the runner token to p and waits for it to park again.
-func (e *Engine) step(p *Proc, sig wakeSignal) {
+// step switches into p's coroutine, starting it on its first wake, and
+// returns when p parks or ends.
+func (e *Engine) step(p *Proc) {
 	if !p.started {
 		p.started = true
-		go p.run()
+		p.next, p.stop = iter.Pull(p.body)
 	}
-	p.resume <- sig
-	<-e.parked
+	p.next()
+	e.rethrow()
+}
+
+// rethrow re-raises a user panic that body recovered, with process context.
+func (e *Engine) rethrow() {
 	if e.fail != nil {
 		f := e.fail
 		e.fail = nil
@@ -404,8 +402,9 @@ func (e *Engine) step(p *Proc, sig wakeSignal) {
 	}
 }
 
-// Close terminates all live processes and releases their goroutines. It
-// must be called exactly once after the final Run.
+// Close stops every live process's coroutine: its park returns false and
+// errKilled unwinds it through its deferred cleanup. Call it after the
+// final Run (a defer, so a panicking Run does not strand the others).
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -414,7 +413,8 @@ func (e *Engine) Close() {
 	for _, p := range e.procs {
 		if p.started && !p.done {
 			p.killed = true
-			e.step(p, wakeSignal{kill: true})
+			p.stop()
+			e.rethrow()
 		}
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -540,19 +542,118 @@ func TestEventHeapOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestCloseReleasesBlockedProcesses(t *testing.T) {
+// settleGoroutines waits briefly for the goroutine count to fall back to
+// base and fails the test when it does not.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines left, want at most %d", n, base)
+	}
+}
+
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
 	e := newTestEngine(1)
 	mb := e.NewMailbox("n1", "never")
-	cleaned := false
-	e.Spawn("n1", "blocked", func(p *Proc) {
-		defer func() { cleaned = true }()
+	e.Spawn("n1", "waiter", func(p *Proc) { p.Recv(mb, -1) })
+	e.Spawn("n2", "boom", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("kaboom")
+	})
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, `process "boom" on node "n2" panicked: kaboom`) {
+				t.Fatalf("Run panic = %q, want the process name and node", msg)
+			}
+		}()
+		e.Run(time.Second)
+	}()
+	e.Close()
+	settleGoroutines(t, base)
+}
+
+// TestCloseReleasesBlockedProcesses: Close unwinds every started, unfinished
+// process, whatever it was blocked on, and leaves no goroutine behind.
+func TestCloseReleasesBlockedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := newTestEngine(1)
+	mb := e.NewMailbox("n1", "never")
+	unwound := map[string]bool{}
+	spawn := func(node, name string, fn func(p *Proc)) {
+		e.Spawn(node, name, func(p *Proc) {
+			defer func() { unwound[name] = true }()
+			fn(p)
+		})
+	}
+	spawn("n1", "parked", func(p *Proc) { p.Recv(mb, -1) })
+	spawn("n1", "sleeping", func(p *Proc) { p.Sleep(time.Hour) })
+	spawn("n1", "finished", func(p *Proc) {})
+	spawn("n2", "crashed", func(p *Proc) { p.Sleep(time.Hour) })
+	e.After(time.Millisecond, func() { e.CrashNode("n2") })
+	e.Run(time.Second)
+	spawn("n1", "never-started", func(p *Proc) { p.Sleep(time.Hour) })
+	e.Close()
+	for _, name := range []string{"parked", "sleeping", "finished", "crashed"} {
+		if !unwound[name] {
+			t.Errorf("%s process not unwound", name)
+		}
+	}
+	if unwound["never-started"] {
+		t.Error("never-started process ran")
+	}
+	settleGoroutines(t, base)
+}
+
+func TestCloseSurvivesBlockingCleanup(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := newTestEngine(1)
+	mb := e.NewMailbox("n1", "never")
+	e.Spawn("n1", "defer-sleep", func(p *Proc) {
+		defer p.Sleep(time.Second)
 		p.Recv(mb, -1)
 	})
+	e.Spawn("n1", "recover-sleep", func(p *Proc) {
+		defer func() {
+			recover()
+			p.Sleep(time.Second)
+			p.Recv(mb, -1)
+		}()
+		p.Sleep(time.Hour)
+	})
 	e.Run(time.Second)
-	e.Close()
-	if !cleaned {
-		t.Fatal("blocked process not unwound by Close")
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung on a process that blocks in its deferred cleanup")
 	}
+	settleGoroutines(t, base)
+}
+
+// TestProcGoexitReachesRunCaller: runtime.Goexit in a body (what
+// t.FailNow does) ends the goroutine that called Run, not just the process.
+func TestProcGoexitReachesRunCaller(t *testing.T) {
+	e := newTestEngine(1)
+	e.Spawn("n1", "exiter", func(p *Proc) { runtime.Goexit() })
+	returned, exited := false, make(chan struct{})
+	go func() {
+		defer close(exited)
+		e.Run(time.Second)
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Fatal("Run returned after a process called runtime.Goexit")
+	}
+	e.Close()
 }
 
 func TestSameSeedEventCountsStable(t *testing.T) {
@@ -579,4 +680,30 @@ func TestSameSeedEventCountsStable(t *testing.T) {
 	if a, b := count(), count(); a != b {
 		t.Fatalf("event counts differ across identical runs: %d vs %d", a, b)
 	}
+}
+
+// BenchmarkProcHandoff measures the park/wake hand-off: per op, a client
+// sends to a server's mailbox and waits for the reply; the server works
+// for a microsecond of virtual time before answering.
+func BenchmarkProcHandoff(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(Options{Seed: 1, MaxEvents: 1 << 62, Jitter: -1})
+	req, resp := e.NewMailbox("s", "req"), e.NewMailbox("c", "resp")
+	e.Spawn("s", "server", func(p *Proc) {
+		for {
+			m := p.RecvQ(req)
+			p.Sleep(time.Microsecond)
+			p.Send(resp, m)
+		}
+	})
+	e.Spawn("c", "client", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Send(req, i)
+			p.RecvQ(resp)
+		}
+	})
+	b.ResetTimer()
+	e.Run(time.Duration(1 << 62))
+	b.StopTimer()
+	e.Close()
 }

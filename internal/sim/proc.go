@@ -14,24 +14,28 @@ var ErrTimeout = errors.New("sim: rpc timeout")
 // ErrTimeout instead, as in a real network.
 var ErrCrashed = errors.New("sim: destination crashed")
 
-// errKilled is the panic sentinel used to unwind process goroutines when
-// the engine shuts them down.
+// errKilled is the panic sentinel that unwinds a parked process when
+// Close stops its coroutine.
 var errKilled = errors.New("sim: process killed")
 
-type wakeSignal struct {
-	kill bool
-}
-
-// Proc is a simulated process: a goroutine that runs under the engine's
-// cooperative single-runner discipline. All methods must be called from
-// the process's own body.
+// Proc is a simulated process: an iter.Pull coroutine that runs under the
+// engine's cooperative single-runner discipline. A wake is one direct
+// switch from the engine into the process, a park one switch back. All
+// methods must be called from the process's own body. A runtime.Goexit in
+// the body (t.FailNow, for one) is re-raised on the goroutine that called
+// Run or Close.
 type Proc struct {
-	eng    *Engine
-	pid    int
-	node   string
-	name   string
-	fn     func(p *Proc)
-	resume chan wakeSignal
+	eng  *Engine
+	pid  int
+	node string
+	name string
+	fn   func(p *Proc)
+
+	// next resumes the coroutine until it parks or ends, stop kills it,
+	// and park is the coroutine's yield: false once stop was called.
+	next func() (struct{}, bool)
+	stop func()
+	park func(struct{}) bool
 
 	started bool
 	done    bool
@@ -71,29 +75,24 @@ type BranchEval struct {
 	Taken bool
 }
 
-func (p *Proc) run() {
+// body is the process's coroutine function.
+func (p *Proc) body(park func(struct{}) bool) {
 	defer func() {
 		r := recover()
 		p.done = true
 		if r != nil && r != errKilled {
-			// Propagate user panics to the engine goroutine, where Run
-			// re-raises them with process context.
+			// Hand user panics to the engine, where step re-raises them
+			// with process context.
 			p.eng.fail = &procPanic{proc: p, val: r}
 		}
-		p.eng.parked <- struct{}{}
 	}()
-	sig := <-p.resume
-	if sig.kill {
-		panic(errKilled)
-	}
+	p.park = park
 	p.fn(p)
 }
 
-// yield parks the process and hands the runner token back to the engine.
+// yield parks the process and switches back to the engine.
 func (p *Proc) yield() {
-	p.eng.parked <- struct{}{}
-	sig := <-p.resume
-	if sig.kill || p.killed {
+	if !p.park(struct{}{}) {
 		panic(errKilled)
 	}
 }

@@ -11,8 +11,8 @@
 #   convergence_hbase         experiments -convergence -system hbase
 #
 # for the six systems S. A change that moves any of them fails here;
-# one that means to must say why and re-record the sums. About 4 minutes
-# on 2 cores. CI runs this; it also works locally:
+# one that means to must say why and re-record the sums. About 8.5
+# minutes on 2 cores. CI runs this; it also works locally:
 #
 #   ./tools/identity.sh
 set -euo pipefail
